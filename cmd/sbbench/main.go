@@ -14,7 +14,7 @@
 //	sbbench -parallel [-json=BENCH.json] [-schemes=hashtable,shadowspace]
 //	        [-progs=go,treeadd,...] [-workers=N] [-scale=N]
 //	        [-timeout=30s] [-steps=N] [-faults=seed=7,flip=200,oom=4]
-//	        [-engine=fast|ref|compiled] [-cpuprofile=cpu.pprof] [-memprofile=mem.pprof]
+//	        [-engine=fast|ref] [-cpuprofile=cpu.pprof] [-memprofile=mem.pprof]
 package main
 
 import (
@@ -62,10 +62,8 @@ func main() {
 		"total attempts per cell for contained non-deterministic crashes (0 = harness default of 2, "+
 			"1 = no retry); deterministic traps such as deadline and step-limit never retry")
 	engine := flag.String("engine", "",
-		"interpreter for matrix cells: fast (default), ref, or compiled "+
-			"(engine A/B/C wall-clock comparison; modeled stats are identical)")
-	refInterp := flag.Bool("ref", false,
-		"deprecated alias for -engine=ref")
+		"interpreter for matrix cells: fast (default) or ref "+
+			"(engine A/B wall-clock comparison; modeled stats are identical)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -100,20 +98,19 @@ func main() {
 	// The harness path: any of its flags (or -experiment=bench) selects it.
 	if *parallel || *jsonOut != "" || *workers > 0 || *schemes != "" ||
 		*progList != "" || *timeout != 0 || *steps != 0 || *faultSpec != "" ||
-		*retries != 0 || *refInterp || *engine != "" || *exp == "bench" {
+		*retries != 0 || *engine != "" || *exp == "bench" {
 		if err := runBench(benchOptions{
-			scale:     *scale,
-			parallel:  *parallel,
-			workers:   *workers,
-			jsonPath:  *jsonOut,
-			schemes:   *schemes,
-			progs:     *progList,
-			timeout:   *timeout,
-			steps:     *steps,
-			faults:    *faultSpec,
-			retries:   *retries,
-			engine:    *engine,
-			refInterp: *refInterp,
+			scale:    *scale,
+			parallel: *parallel,
+			workers:  *workers,
+			jsonPath: *jsonOut,
+			schemes:  *schemes,
+			progs:    *progList,
+			timeout:  *timeout,
+			steps:    *steps,
+			faults:   *faultSpec,
+			retries:  *retries,
+			engine:   *engine,
 		}); err != nil {
 			fmt.Fprintf(os.Stderr, "sbbench: %v\n", err)
 			os.Exit(1)
@@ -188,40 +185,28 @@ func main() {
 
 // benchOptions carries the harness flag values.
 type benchOptions struct {
-	scale     int
-	parallel  bool
-	workers   int
-	jsonPath  string
-	schemes   string
-	progs     string
-	timeout   time.Duration
-	steps     uint64
-	faults    string
-	retries   int
-	engine    string
-	refInterp bool
+	scale    int
+	parallel bool
+	workers  int
+	jsonPath string
+	schemes  string
+	progs    string
+	timeout  time.Duration
+	steps    uint64
+	faults   string
+	retries  int
+	engine   string
 }
 
-// parseEngine resolves the -engine flag, honoring the deprecated -ref
-// alias. -engine wins when both are given and agree with -ref=ref; a
-// contradictory combination is an error rather than a silent pick.
-func parseEngine(engine string, refAlias bool) (vm.InterpKind, error) {
-	if refAlias {
-		if engine != "" && engine != "ref" {
-			return 0, fmt.Errorf("-ref conflicts with -engine=%s (use -engine alone)", engine)
-		}
-		fmt.Fprintln(os.Stderr, "sbbench: -ref is deprecated; use -engine=ref")
-		return vm.InterpRef, nil
-	}
+// parseEngine resolves the -engine flag.
+func parseEngine(engine string) (vm.InterpKind, error) {
 	switch engine {
 	case "", "fast":
 		return vm.InterpFast, nil
 	case "ref":
 		return vm.InterpRef, nil
-	case "compiled":
-		return vm.InterpCompiled, nil
 	default:
-		return 0, fmt.Errorf("unknown -engine %q (want fast, ref, or compiled)", engine)
+		return 0, fmt.Errorf("unknown -engine %q (want fast or ref)", engine)
 	}
 }
 
@@ -246,7 +231,7 @@ func runBench(o benchOptions) error {
 			workers = 1
 		}
 	}
-	interp, err := parseEngine(o.engine, o.refInterp)
+	interp, err := parseEngine(o.engine)
 	if err != nil {
 		return err
 	}

@@ -114,16 +114,12 @@ func TestMetadataLaunderingDetected(t *testing.T) {
 	a := MetadataLaundering()
 	for _, mode := range []driver.Mode{driver.ModeStoreOnly, driver.ModeFull} {
 		for _, kind := range []meta.Kind{meta.KindShadowSpace, meta.KindHashTable} {
-			for _, ref := range []bool{false, true} {
-				engine := "fast"
-				if ref {
-					engine = "ref"
-				}
+			for _, engine := range []vm.InterpKind{vm.InterpFast, vm.InterpRef} {
 				name := fmt.Sprintf("%v/%v/%s", mode, kind, engine)
 				t.Run(name, func(t *testing.T) {
 					cfg := driver.DefaultConfig(mode)
 					cfg.Meta = kind
-					cfg.RefInterp = ref
+					cfg.Interp = engine
 					res, err := driver.RunSource(a.Source, cfg)
 					if err != nil {
 						t.Fatalf("compile: %v", err)

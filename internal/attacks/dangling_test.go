@@ -87,16 +87,12 @@ func TestDanglingAttacksDetectedUnderCETS(t *testing.T) {
 	for _, a := range DanglingSuite() {
 		for _, mode := range []driver.Mode{driver.ModeStoreOnly, driver.ModeFull} {
 			for _, kind := range cetsKinds {
-				for _, ref := range []bool{false, true} {
-					engine := "fast"
-					if ref {
-						engine = "ref"
-					}
-					a, mode, kind, ref := a, mode, kind, ref
+				for _, engine := range []vm.InterpKind{vm.InterpFast, vm.InterpRef} {
+					a, mode, kind, engine := a, mode, kind, engine
 					t.Run(fmt.Sprintf("%s/%v/%v/%s", a.Name, mode, kind, engine), func(t *testing.T) {
 						cfg := driver.DefaultConfig(mode)
 						cfg.Meta = kind
-						cfg.RefInterp = ref
+						cfg.Interp = engine
 						res, err := driver.RunSource(a.Source, cfg)
 						if err != nil {
 							t.Fatalf("compile: %v", err)

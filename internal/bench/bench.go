@@ -78,12 +78,6 @@ type Config struct {
 	// measurements; the modeled statistics are identical across engines,
 	// only wall clock moves).
 	Interp vm.InterpKind
-
-	// RefInterp runs every cell on the reference interpreter.
-	//
-	// Deprecated: set Interp to vm.InterpRef instead. When set it wins
-	// over Interp.
-	RefInterp bool
 }
 
 // Run is one completed cell of the matrix.
@@ -96,8 +90,8 @@ type Run struct {
 	Config string `json:"config"`
 	Mode   string `json:"mode"`
 	Scheme string `json:"scheme,omitempty"`
-	// Engine names the interpreter this cell ran on ("fast", "ref",
-	// "compiled") so mixed-engine result sets stay distinguishable.
+	// Engine names the interpreter this cell ran on ("fast" or "ref") so
+	// mixed-engine result sets stay distinguishable.
 	Engine string `json:"engine"`
 
 	Stats  metrics.Report        `json:"stats"`
@@ -172,15 +166,6 @@ func (s spec) configName() string {
 	return s.scheme.Name + "-" + s.mode.String()
 }
 
-// engine resolves the effective interpreter selection, honoring the
-// deprecated RefInterp override.
-func (cfg Config) engine() vm.InterpKind {
-	if cfg.RefInterp {
-		return vm.InterpRef
-	}
-	return cfg.Interp
-}
-
 // DefaultModes returns the paper's two checking modes.
 func DefaultModes() []driver.Mode {
 	return []driver.Mode{driver.ModeStoreOnly, driver.ModeFull}
@@ -228,7 +213,7 @@ func buildMatrix(cfg Config) ([]spec, error) {
 	for _, b := range benches {
 		cell := spec{bench: b, scale: cfg.Scale, mode: driver.ModeNone,
 			timeout: cfg.CellTimeout, steps: cfg.StepLimit, plan: cfg.Faults,
-			interp: cfg.engine()}
+			interp: cfg.Interp}
 		out = append(out, cell)
 		for _, sc := range schemes {
 			for _, m := range modes {
@@ -451,7 +436,7 @@ func Execute(cfg Config) (*Report, error) {
 		Schema:       SchemaVersion,
 		Workers:      workers,
 		Scale:        cfg.Scale,
-		Engine:       cfg.engine().String(),
+		Engine:       cfg.Interp.String(),
 		ElapsedNanos: time.Since(start).Nanoseconds(),
 		Runs:         runs,
 	}

@@ -91,16 +91,17 @@ type Config struct {
 	Faults *faults.Injector
 
 	// Interp selects the interpreter engine: the pre-decoded fast engine
-	// (zero value), the reference per-step switch, or the compiled
-	// threaded-code tier. The differential suite runs all three and
-	// requires identical results; exposed so harnesses and serve clients
-	// can do the same.
+	// (zero value) or the reference per-step switch. The differential
+	// suite runs both and requires identical results; exposed so
+	// harnesses and serve clients can do the same.
 	Interp vm.InterpKind
 
 	// RefInterp runs the reference interpreter.
 	//
-	// Deprecated: set Interp to vm.InterpRef instead. Kept as an override
-	// for existing harnesses; when set it wins over Interp.
+	// Deprecated: set Interp to vm.InterpRef instead. When set it wins
+	// over Interp. It stays only because the sbperf stage replay
+	// (internal/perf) reads it, and that package is frozen with the
+	// benchmark it implements.
 	RefInterp bool
 
 	// MetaFacility, when non-nil, constructs the metadata facility

@@ -11,12 +11,11 @@ import (
 	"softbound/internal/vm"
 )
 
-// Engine differential gate: the fast pre-decoded interpreter and the
-// compiled threaded-code tier must both be observationally equal to the
-// reference per-step interpreter on every real program — same output,
-// same exit code, same violation fields, and the same modeled
-// statistics, across schemes and protection modes. Each case compiles
-// once and executes the module on all three engines.
+// Engine differential gate: the fast pre-decoded interpreter must be
+// observationally equal to the reference per-step interpreter on every
+// real program — same output, same exit code, same violation fields, and
+// the same modeled statistics, across schemes and protection modes. Each
+// case compiles once and executes the module on both engines.
 
 // describeWithStats extends describe with the full modeled-cost view.
 // The metadata-cache counters are excluded: they exist only on the fast
@@ -33,21 +32,15 @@ func requireEngineAgreement(t *testing.T, name, src string, cfg Config) *Result 
 	if err != nil {
 		t.Fatalf("%s: compile: %v", name, err)
 	}
-	fastCfg, refCfg, compCfg := cfg, cfg, cfg
+	fastCfg, refCfg := cfg, cfg
+	fastCfg.Interp = vm.InterpFast
 	refCfg.Interp = vm.InterpRef
-	compCfg.Interp = vm.InterpCompiled
 	fast := Execute(mod, fastCfg)
 	ref := Execute(mod, refCfg)
-	comp := Execute(mod, compCfg)
 	fast.Stats.Opt = counters
 	ref.Stats.Opt = counters
-	comp.Stats.Opt = counters
-	rd := describeWithStats(ref)
-	if fd := describeWithStats(fast); fd != rd {
+	if fd, rd := describeWithStats(fast), describeWithStats(ref); fd != rd {
 		t.Fatalf("%s: engines diverged:\n  fast: %s\n  ref:  %s", name, fd, rd)
-	}
-	if cd := describeWithStats(comp); cd != rd {
-		t.Fatalf("%s: engines diverged:\n  compiled: %s\n  ref:      %s", name, cd, rd)
 	}
 	return fast
 }

@@ -34,14 +34,10 @@ int main(void) {
 // interpreters and hands each result to check.
 func runBothEngines(t *testing.T, src string, cfg Config, check func(t *testing.T, res *Result)) {
 	t.Helper()
-	for _, ref := range []bool{false, true} {
-		engine := "fast"
-		if ref {
-			engine = "ref"
-		}
-		t.Run(engine, func(t *testing.T) {
+	for _, engine := range []vm.InterpKind{vm.InterpFast, vm.InterpRef} {
+		t.Run(engine.String(), func(t *testing.T) {
 			ecfg := cfg
-			ecfg.RefInterp = ref
+			ecfg.Interp = engine
 			res, err := RunSource(src, ecfg)
 			if err != nil {
 				t.Fatalf("compile: %v", err)

@@ -479,9 +479,6 @@ type Module struct {
 
 	decodedMu sync.Mutex
 	decoded   any
-
-	compiledMu sync.Mutex
-	compiled   any
 }
 
 // Decoded returns the module's cached pre-decoded program, building it
@@ -498,20 +495,6 @@ func (m *Module) Decoded(build func() any) any {
 		m.decoded = build()
 	}
 	return m.decoded
-}
-
-// Compiled returns the module's cached threaded-code program, building
-// it with build on first use — the compiled-engine analogue of Decoded,
-// with the same singleflight and frozen-module contract. Kept as a
-// separate slot (not keyed off Decoded's) so a module serving mixed
-// engine traffic caches both forms independently.
-func (m *Module) Compiled(build func() any) any {
-	m.compiledMu.Lock()
-	defer m.compiledMu.Unlock()
-	if m.compiled == nil {
-		m.compiled = build()
-	}
-	return m.compiled
 }
 
 // NewModule returns an empty module.

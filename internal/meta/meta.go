@@ -100,10 +100,12 @@ func (k Kind) String() string {
 		return "hashtable"
 	case KindHashTableCETS:
 		return "hashtable-cets"
+	case KindShadowSpace:
+		return "shadowspace"
 	case KindShadowCETS:
 		return "shadow-cets"
 	}
-	return "shadowspace"
+	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // Temporal reports whether the kind carries lock-and-key temporal

@@ -175,3 +175,24 @@ func TestFacilitiesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// An unknown kind must not masquerade as a registered scheme: New
+// rejects it, while every known kind still round-trips through the
+// registry by name.
+func TestKindStringUnknownAndRoundTrip(t *testing.T) {
+	if f, err := New(Kind(99)); err == nil {
+		t.Fatalf("New(Kind(99)) built %s, want an error", f.Name())
+	}
+	if got := Kind(99).String(); got != "Kind(99)" {
+		t.Errorf("Kind(99).String() = %q", got)
+	}
+	for _, k := range []Kind{KindHashTable, KindShadowSpace, KindHashTableCETS, KindShadowCETS} {
+		s, ok := SchemeByName(k.String())
+		if !ok || s.Kind != k {
+			t.Errorf("SchemeByName(%q) = %+v, %v; want kind %d", k.String(), s, ok, int(k))
+		}
+		if _, err := New(k); err != nil {
+			t.Errorf("New(%v): %v", k, err)
+		}
+	}
+}

@@ -145,8 +145,7 @@ type Request struct {
 	// NoOptimize disables the optimizer for this request.
 	NoOptimize bool `json:"no_optimize,omitempty"`
 	// Engine selects the interpreter: "" or "fast" (default) for the
-	// pre-decoded fast engine, "ref" for the reference interpreter,
-	// "compiled" for the threaded-code compiled tier.
+	// pre-decoded fast engine, "ref" for the reference interpreter.
 	Engine string `json:"engine,omitempty"`
 }
 
@@ -503,11 +502,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	switch req.Engine {
-	case "", "fast", "ref", "compiled":
+	case "", "fast", "ref":
 	default:
 		s.counters.Inc("run.bad_request")
 		writeJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf(
-			"unknown engine %q (want \"fast\", \"ref\", or \"compiled\")", req.Engine)})
+			"unknown engine %q (want \"fast\" or \"ref\")", req.Engine)})
 		return
 	}
 
@@ -738,11 +737,8 @@ func (s *Server) driverConfig(req Request) driver.Config {
 		}
 		_ = applyScheme(&cfg, scheme) // validated at admission
 	}
-	switch req.Engine {
-	case "ref":
+	if req.Engine == "ref" {
 		cfg.Interp = vm.InterpRef
-	case "compiled":
-		cfg.Interp = vm.InterpCompiled
 	}
 	timeout := s.opts.DefaultTimeout
 	if req.TimeoutMillis > 0 {

@@ -161,6 +161,7 @@ func TestRequestValidation(t *testing.T) {
 		{Source: okSrc, Scheme: "nope"},       // unknown scheme
 		{Source: okSrc, Faults: "bogus-plan"}, // malformed fault plan
 		{Source: okSrc, Engine: "turbo"},      // unknown engine
+		{Source: okSrc, Engine: "compiled"},   // retired engine
 	} {
 		if status, body := post(t, ts, req); status != http.StatusBadRequest {
 			t.Errorf("%+v: status %d, want 400 (%s)", req, status, body)
@@ -168,12 +169,29 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
-// All three interpreter engines are selectable per request and must
-// serve the same observable result from the same cached artifact.
+// The retired "compiled" engine gets the same structured 400 as any
+// unknown engine, naming the engines a request may select.
+func TestRetiredEngineRejected(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	status, body := post(t, ts, Request{Source: okSrc, Engine: "compiled"})
+	if status != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400 (%s)", status, body)
+	}
+	var eb ErrorBody
+	if err := json.Unmarshal(body, &eb); err != nil {
+		t.Fatalf("unstructured body %q: %v", body, err)
+	}
+	if want := `unknown engine "compiled" (want "fast" or "ref")`; eb.Error != want {
+		t.Fatalf("error %q, want %q", eb.Error, want)
+	}
+}
+
+// Both interpreter engines are selectable per request and must serve the
+// same observable result from the same cached artifact.
 func TestEngineSelection(t *testing.T) {
 	srv, ts := newTestServer(t, Options{})
 	var results []Response
-	for _, engine := range []string{"", "fast", "ref", "compiled"} {
+	for _, engine := range []string{"", "fast", "ref"} {
 		status, body := post(t, ts, Request{Source: okSrc, Engine: engine})
 		if status != http.StatusOK {
 			t.Fatalf("engine %q: status %d, body %s", engine, status, body)
@@ -189,16 +207,14 @@ func TestEngineSelection(t *testing.T) {
 	}
 	// Engine choice affects execution only, never the compiled artifact:
 	// the cache key is engine-independent.
-	if !results[2].CacheHit || !results[3].CacheHit {
+	if !results[2].CacheHit {
 		t.Error("non-default-engine request recompiled instead of reusing the cache")
 	}
 	// /statz accounts runs per engine.
 	counters := srv.Counters().Snapshot()
-	if counters["run.engine.fast"] != 2 || counters["run.engine.ref"] != 1 ||
-		counters["run.engine.compiled"] != 1 {
-		t.Errorf("per-engine run counters off: fast=%d ref=%d compiled=%d",
-			counters["run.engine.fast"], counters["run.engine.ref"],
-			counters["run.engine.compiled"])
+	if counters["run.engine.fast"] != 2 || counters["run.engine.ref"] != 1 {
+		t.Errorf("per-engine run counters off: fast=%d ref=%d",
+			counters["run.engine.fast"], counters["run.engine.ref"])
 	}
 }
 

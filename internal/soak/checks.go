@@ -21,10 +21,9 @@ import (
 //   - detection: a planted variant traps exactly in the configurations
 //     its Detected predicate names, with the matching trap code, and a
 //     clean variant never traps.
-//   - engine agreement: every engine in a config (ref and compiled
-//     against the fast witness) produces identical exit, output, trap,
-//     and modeled stats (lookaside counters excluded — the ref engine
-//     has no lookaside).
+//   - engine agreement: within a config the ref engine matches the fast
+//     witness on exit, output, trap, and modeled stats (lookaside
+//     counters excluded — the ref engine has no lookaside).
 //   - scheme agreement: schemes of equal temporality are behaviorally
 //     indistinguishable (exit/output/trap; stats differ by facility
 //     cost model).
@@ -76,8 +75,8 @@ func checkRuns(seed uint64, variant string, pl *gen.Plant, cfgs []runCfg, result
 		}
 	}
 
-	// Engine agreement: within each config, every engine (ref, compiled)
-	// must match the fast witness.
+	// Engine agreement: within each config, the ref engine must match the
+	// fast witness.
 	witness := map[string]int{}
 	for i, rc := range cfgs {
 		if rc.interp == vm.InterpFast && results[i] != nil {

@@ -158,24 +158,23 @@ func (rc runCfg) String() string {
 	return rc.configName() + "/" + rc.interp.String()
 }
 
+// engines are the interpreters every matrix config runs on; the fast
+// engine comes first because it is the agreement checks' witness.
+var engines = []vm.InterpKind{vm.InterpFast, vm.InterpRef}
+
 // matrix enumerates baseline × engines plus every registered scheme ×
-// checked mode × engine. All three engines cover the baseline and every
-// scheme's full mode; store-only cells run the fast/ref pair (the
-// compiled tier shares the fast engine's decode, so full mode exercises
-// its distinct code paths — the closure chains — under every scheme).
+// checked mode × engine.
 func matrix() []runCfg {
 	schemes := meta.Schemes()
-	out := make([]runCfg, 0, 3+len(schemes)*5)
-	for _, eng := range []vm.InterpKind{vm.InterpFast, vm.InterpRef, vm.InterpCompiled} {
+	out := make([]runCfg, 0, len(engines)*(1+2*len(schemes)))
+	for _, eng := range engines {
 		out = append(out, runCfg{mode: driver.ModeNone, interp: eng})
 	}
 	for i := range schemes {
-		s := &schemes[i]
-		for _, eng := range []vm.InterpKind{vm.InterpFast, vm.InterpRef} {
-			out = append(out, runCfg{scheme: s, mode: driver.ModeStoreOnly, interp: eng})
-		}
-		for _, eng := range []vm.InterpKind{vm.InterpFast, vm.InterpRef, vm.InterpCompiled} {
-			out = append(out, runCfg{scheme: s, mode: driver.ModeFull, interp: eng})
+		for _, mode := range []driver.Mode{driver.ModeStoreOnly, driver.ModeFull} {
+			for _, eng := range engines {
+				out = append(out, runCfg{scheme: &schemes[i], mode: mode, interp: eng})
+			}
 		}
 	}
 	return out
@@ -202,7 +201,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		Seed:          cfg.Seed,
 		Cells:         cfg.Cells,
 		Modes:         []string{driver.ModeStoreOnly.String(), driver.ModeFull.String()},
-		Engines:       []string{"fast", "ref", "compiled"},
+		Engines:       []string{vm.InterpFast.String(), vm.InterpRef.String()},
 		TrapHistogram: map[string]int{},
 	}
 	for _, s := range schemes {
@@ -382,7 +381,7 @@ func (s *soaker) battery(ctx context.Context, prog *gen.Program, pl *gen.Plant) 
 	}
 
 	// Compile once per distinct artifact: modules depend on (mode,
-	// temporality) only, so 23 runs share 5 compiles.
+	// temporality) only, so 18 runs share 5 compiles.
 	type modKey struct {
 		mode     driver.Mode
 		temporal bool

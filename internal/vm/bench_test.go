@@ -40,7 +40,6 @@ func benchRun(b *testing.B, mod *ir.Module, kind InterpKind) {
 }
 
 func benchBoth(b *testing.B, mod *ir.Module) {
-	b.Run("compiled", func(b *testing.B) { benchRun(b, mod, InterpCompiled) })
 	b.Run("fast", func(b *testing.B) { benchRun(b, mod, InterpFast) })
 	b.Run("ref", func(b *testing.B) { benchRun(b, mod, InterpRef) })
 }
@@ -246,10 +245,9 @@ func BenchmarkMetaLoadMiss(b *testing.B) {
 	benchBoth(b, metaLoadModule(1<<16, 8, 8192))
 }
 
-// The steady-state call path must not allocate on either engine that
-// claims zero-allocation dispatch: frames, registers, and builtin
-// argument buffers are all reused (the compiled engine adds only one
-// constant per-run context). Measuring two run lengths and taking the
+// The fast engine's steady-state call path must not allocate: frames,
+// registers, and builtin argument buffers are all reused (the reference
+// engine makes no such claim). Measuring two run lengths and taking the
 // slope isolates per-call allocations from the fixed VM construction
 // cost.
 func TestSteadyStateCallPathAllocFree(t *testing.T) {
@@ -257,34 +255,31 @@ func TestSteadyStateCallPathAllocFree(t *testing.T) {
 		t.Skip("alloc measurement is slow under -short")
 	}
 	const extra = 4096
-	for _, kind := range []InterpKind{InterpFast, InterpCompiled} {
-		kind := kind
-		t.Run(kind.String(), func(t *testing.T) {
-			measure := func(iters int64) float64 {
-				mod := callLoopModule(iters)
-				// Prime the decode/compile caches outside the measured region.
-				if v, err := New(mod, benchConfig(kind)); err != nil {
-					t.Fatal(err)
-				} else if _, err := v.Run(); err != nil {
+	t.Run(InterpFast.String(), func(t *testing.T) {
+		measure := func(iters int64) float64 {
+			mod := callLoopModule(iters)
+			// Prime the decode cache outside the measured region.
+			if v, err := New(mod, benchConfig(InterpFast)); err != nil {
+				t.Fatal(err)
+			} else if _, err := v.Run(); err != nil {
+				t.Fatal(err)
+			}
+			return testing.AllocsPerRun(10, func() {
+				v, err := New(mod, benchConfig(InterpFast))
+				if err != nil {
 					t.Fatal(err)
 				}
-				return testing.AllocsPerRun(10, func() {
-					v, err := New(mod, benchConfig(kind))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, err := v.Run(); err != nil {
-						t.Fatal(err)
-					}
-				})
-			}
-			base := measure(16)
-			long := measure(16 + extra)
-			perCall := (long - base) / extra
-			if perCall > 0.01 {
-				t.Fatalf("steady-state call path allocates: %.4f allocs/call (base=%.1f long=%.1f)",
-					perCall, base, long)
-			}
-		})
-	}
+				if _, err := v.Run(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		base := measure(16)
+		long := measure(16 + extra)
+		perCall := (long - base) / extra
+		if perCall > 0.01 {
+			t.Fatalf("steady-state call path allocates: %.4f allocs/call (base=%.1f long=%.1f)",
+				perCall, base, long)
+		}
+	})
 }

@@ -38,39 +38,32 @@ func runEngine(t *testing.T, mod *ir.Module, cfg Config, kind InterpKind) engine
 	return engineResult{code: code, err: rerr, stats: st}
 }
 
-// requireEngineAgreement runs the module on all three engines and holds
-// each non-reference engine to the reference result: exit code, trap
+// requireEngineAgreement runs the module on the fast and reference
+// engines and holds the fast result to the reference one: exit code, trap
 // classification, violation fields, and every modeled statistic.
 func requireEngineAgreement(t *testing.T, mod *ir.Module, cfg Config) engineResult {
 	t.Helper()
 	ref := runEngine(t, mod, cfg, InterpRef)
 	fast := runEngine(t, mod, cfg, InterpFast)
-	compiled := runEngine(t, mod, cfg, InterpCompiled)
-	for _, e := range []struct {
-		kind InterpKind
-		got  engineResult
-	}{{InterpFast, fast}, {InterpCompiled, compiled}} {
-		kind, got := e.kind, e.got
-		if got.code != ref.code {
-			t.Fatalf("exit code: %s=%d ref=%d (%s err=%v, ref err=%v)",
-				kind, got.code, ref.code, kind, got.err, ref.err)
-		}
-		if CodeOf(got.err) != CodeOf(ref.err) {
-			t.Fatalf("trap code: %s=%q (%v) ref=%q (%v)",
-				kind, CodeOf(got.err), got.err, CodeOf(ref.err), ref.err)
-		}
-		var gv, rv *SpatialViolation
-		errors.As(got.err, &gv)
-		errors.As(ref.err, &rv)
-		if (gv == nil) != (rv == nil) {
-			t.Fatalf("violation presence: %s=%v ref=%v", kind, got.err, ref.err)
-		}
-		if gv != nil && *gv != *rv {
-			t.Fatalf("violation fields:\n  %s: %+v\n  ref:  %+v", kind, *gv, *rv)
-		}
-		if got.stats != ref.stats {
-			t.Fatalf("stats diverged:\n  %s: %+v\n  ref:  %+v", kind, got.stats, ref.stats)
-		}
+	if fast.code != ref.code {
+		t.Fatalf("exit code: fast=%d ref=%d (fast err=%v, ref err=%v)",
+			fast.code, ref.code, fast.err, ref.err)
+	}
+	if CodeOf(fast.err) != CodeOf(ref.err) {
+		t.Fatalf("trap code: fast=%q (%v) ref=%q (%v)",
+			CodeOf(fast.err), fast.err, CodeOf(ref.err), ref.err)
+	}
+	var fv, rv *SpatialViolation
+	errors.As(fast.err, &fv)
+	errors.As(ref.err, &rv)
+	if (fv == nil) != (rv == nil) {
+		t.Fatalf("violation presence: fast=%v ref=%v", fast.err, ref.err)
+	}
+	if fv != nil && *fv != *rv {
+		t.Fatalf("violation fields:\n  fast: %+v\n  ref:  %+v", *fv, *rv)
+	}
+	if fast.stats != ref.stats {
+		t.Fatalf("stats diverged:\n  fast: %+v\n  ref:  %+v", fast.stats, ref.stats)
 	}
 	return fast
 }
@@ -348,6 +341,69 @@ func TestEvalUnknownOperandKindMessage(t *testing.T) {
 	}
 }
 
+// setjmpModule builds: main setjmps, calls a helper that longjmps back
+// with 42, and returns the second setjmp result. The setjmp continuation
+// (re-entry after a builtin call) and the longjmp target (checkpoint
+// fip + 1) are both dynamic resume points in the decoded body.
+func setjmpModule() *ir.Module {
+	env := &ir.Global{Name: "env", Size: 16, Align: 8}
+
+	helper := &ir.Func{Name: "helper", HasRet: true, RetClass: ir.ClassInt}
+	h0 := helper.NewReg(ir.ClassInt)
+	helper.Blocks = []*ir.Block{{Insts: []ir.Inst{
+		{Kind: ir.KCall, Callee: ir.FV("longjmp"),
+			Dst: ir.NoReg, DstBase: ir.NoReg, DstBound: ir.NoReg,
+			Args: []ir.Value{ir.GV("env", 0), ir.CI(42)}},
+		{Kind: ir.KConst, Dst: h0, A: ir.CI(0)},
+		{Kind: ir.KRet, HasVal: true, A: ir.R(h0)},
+	}}}
+
+	f := &ir.Func{Name: "main", HasRet: true, RetClass: ir.ClassInt}
+	r0 := f.NewReg(ir.ClassInt) // setjmp result
+	r1 := f.NewReg(ir.ClassInt) // scratch
+	f.Blocks = []*ir.Block{
+		{Insts: []ir.Inst{
+			{Kind: ir.KCall, Callee: ir.FV("setjmp"), Dst: r0,
+				DstBase: ir.NoReg, DstBound: ir.NoReg,
+				Args: []ir.Value{ir.GV("env", 0)}},
+			{Kind: ir.KCondBr, A: ir.R(r0), Target: 2, Else: 1},
+		}},
+		{Insts: []ir.Inst{
+			{Kind: ir.KCall, Callee: ir.FV("helper"), Dst: r1,
+				DstBase: ir.NoReg, DstBound: ir.NoReg},
+			{Kind: ir.KRet, HasVal: true, A: ir.R(r1)},
+		}},
+		{Insts: []ir.Inst{
+			{Kind: ir.KBin, Dst: r0, Op: ir.OpAdd, A: ir.R(r0), B: ir.CI(100)},
+			{Kind: ir.KRet, HasVal: true, A: ir.R(r0)},
+		}},
+	}
+	mod := ir.NewModule("test")
+	mod.AddFunc(f)
+	mod.AddFunc(helper)
+	mod.Globals = []*ir.Global{env}
+	return mod
+}
+
+func TestEngineAgreementSetjmpLongjmp(t *testing.T) {
+	res := requireEngineAgreement(t, setjmpModule(), Config{})
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if res.code != 142 {
+		t.Fatalf("exit = %d, want 142 (longjmp value + 100)", res.code)
+	}
+}
+
+// The step-limit sweep through a setjmp/longjmp weave drives budget
+// exhaustion through builtin dispatch and both non-local resume points.
+func TestEngineAgreementSetjmpStepLimitSweep(t *testing.T) {
+	mod := setjmpModule()
+	for limit := uint64(1); limit <= 40; limit++ {
+		requireEngineAgreement(t, mod, Config{StepLimit: limit})
+	}
+}
+
 // ------------------------------------------------------------- decode
 
 func TestDecodeFusesInstrumentationTriples(t *testing.T) {
@@ -399,6 +455,27 @@ func TestDecodeSharedAcrossVMs(t *testing.T) {
 	}
 	if v1.prog == nil || v1.prog != v2.prog {
 		t.Fatal("decoded program not shared via the module cache")
+	}
+}
+
+// An engine value other than fast or ref — such as 2, which once selected
+// the retired compiled tier — must not silently run as the fast engine.
+func TestNewRejectsUnknownEngine(t *testing.T) {
+	if _, err := New(arithLoopModule(), Config{Interp: InterpKind(2)}); err == nil {
+		t.Fatal("New accepted engine InterpKind(2)")
+	}
+}
+
+// String names unknown engines instead of calling them "fast".
+func TestInterpKindString(t *testing.T) {
+	for k, want := range map[InterpKind]string{
+		InterpFast:    "fast",
+		InterpRef:     "ref",
+		InterpKind(2): "InterpKind(2)",
+	} {
+		if got := k.String(); got != want {
+			t.Errorf("InterpKind(%d).String() = %q, want %q", int(k), got, want)
+		}
 	}
 }
 

@@ -44,18 +44,11 @@ func (v *VM) flushFast(st *fastState) {
 // The fell-off sentinel has no source instruction and reports bare,
 // exactly like the reference loop's out-of-range position.
 func wrapFastErr(f *frame, d *dinst, err error) error {
-	return wrapSiteErr(f.fn.Name, d, err)
-}
-
-// wrapSiteErr is wrapFastErr with the function name supplied directly,
-// so the compiled engine can prebuild wrapped errors for sites whose
-// failure is unconditional (unreachable, malformed) at compile time.
-func wrapSiteErr(fname string, d *dinst, err error) error {
 	if d.src == nil {
 		return err
 	}
 	return fmt.Errorf("at %s b%d#%d [%s]: %w",
-		fname, d.blk, d.ip, d.src.String(), err)
+		f.fn.Name, d.blk, d.ip, d.src.String(), err)
 }
 
 // fastCheck performs a non-call dereference check with reference-order

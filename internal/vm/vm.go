@@ -48,25 +48,21 @@ type InterpKind int
 // module's pre-decoded form (decode.go) with fused superinstructions,
 // batched step accounting, and a metadata lookup cache. The reference
 // engine is the original per-step switch interpreter, kept as the
-// semantic baseline: the differential suite holds all engines to
-// identical exit codes, traps, and modeled statistics. The compiled
-// engine (compile.go) lowers the decoded form once more into threaded
-// code — per-span closure chains with no dispatch switch — and
-// reconciles the step/deadline clock at span boundaries.
+// semantic oracle: the differential suite holds the fast engine to its
+// exit codes, traps, and modeled statistics bit for bit.
 const (
 	InterpFast InterpKind = iota
 	InterpRef
-	InterpCompiled
 )
 
 func (k InterpKind) String() string {
 	switch k {
+	case InterpFast:
+		return "fast"
 	case InterpRef:
 		return "ref"
-	case InterpCompiled:
-		return "compiled"
 	}
-	return "fast"
+	return fmt.Sprintf("InterpKind(%d)", int(k))
 }
 
 // Config parameterizes a VM run.
@@ -112,7 +108,8 @@ type Config struct {
 	// Options.Temporal.
 	Temporal bool
 
-	// Interp selects the execution engine (default InterpFast).
+	// Interp selects the execution engine: InterpFast (the default) or
+	// InterpRef, the reference oracle. New rejects any other value.
 	Interp InterpKind
 	// DisableMetaCache turns off the metadata lookup cache under the fast
 	// engine. The driver sets it when fault injection wraps the facility:
@@ -234,10 +231,7 @@ type frame struct {
 	// Fast-engine state: the decoded body and the flat instruction index
 	// (decode.go). Maintained alongside block/ip so cold paths shared
 	// with the reference engine (hijacks, diagnostics) keep working.
-	// cf is the compiled body (compile.go), set only under the compiled
-	// engine; fip doubles as the span-entry index there.
 	df  *dfunc
-	cf  *cfunc
 	fip int
 }
 
@@ -268,13 +262,10 @@ type VM struct {
 	stats metrics.Stats
 
 	// prog is the module's pre-decoded form (nil under the reference
-	// engine); cprog is the threaded-code form lowered from it (nil
-	// unless the compiled engine is selected); mcache, when non-nil, is
-	// the metadata lookup cache that v.fac has been replaced with, held
-	// concretely so the hot metaload path probes it without an interface
-	// dispatch.
+	// engine); mcache, when non-nil, is the metadata lookup cache that
+	// v.fac has been replaced with, held concretely so the hot metaload
+	// path probes it without an interface dispatch.
 	prog   *program
-	cprog  *cprogram
 	mcache *meta.LookupCache
 
 	// argScratch is a per-VM buffer the fast call path reuses for builtin
@@ -341,6 +332,9 @@ type VM struct {
 // New builds a VM for the module. The module must already be linked and,
 // if desired, instrumented.
 func New(mod *ir.Module, cfg Config) (*VM, error) {
+	if cfg.Interp != InterpFast && cfg.Interp != InterpRef {
+		return nil, fmt.Errorf("vm: unknown engine %v (want fast or ref)", cfg.Interp)
+	}
 	fac := cfg.Meta
 	if fac == nil {
 		fac = meta.NewShadowSpace()
@@ -389,19 +383,13 @@ func New(mod *ir.Module, cfg Config) (*VM, error) {
 	v.funcs = append(v.funcs, mod.Funcs...)
 	layoutFuncs(mod, v.funcAddrs)
 
-	// Fast and compiled engines: fetch (or build) the module's
-	// pre-decoded program and put the metadata lookup cache in front of
-	// the facility. Decode is module-pure — global and function addresses
-	// are a deterministic function of the module — so the decoded form is
-	// shared across all VMs of this module via the ir-side cache. The
-	// compiled engine layers the threaded-code form on top, cached the
-	// same way (one compile serves every VM of the module, whichever
-	// engine each selects).
+	// Fast engine: fetch (or build) the module's pre-decoded program and
+	// put the metadata lookup cache in front of the facility. Decode is
+	// module-pure — global and function addresses are a deterministic
+	// function of the module — so the decoded form is shared across all
+	// VMs of this module via the ir-side cache.
 	if cfg.Interp != InterpRef {
 		v.prog = mod.Decoded(func() any { return decodeModule(mod) }).(*program)
-		if cfg.Interp == InterpCompiled {
-			v.cprog = mod.Compiled(func() any { return compileProgram(v.prog) }).(*cprogram)
-		}
 		if !cfg.DisableMetaCache {
 			v.mcache = meta.NewLookupCache(v.fac)
 			v.fac = v.mcache
@@ -622,20 +610,10 @@ func (v *VM) run(ctx context.Context) (int64, error) {
 
 // runLoop dispatches to the configured engine.
 func (v *VM) runLoop() error {
-	if v.cprog != nil {
-		return v.loopCompiled()
-	}
 	if v.prog != nil {
 		return v.loopFast()
 	}
 	return v.loop()
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // CallFunction invokes an arbitrary function with integer arguments (test
@@ -809,9 +787,6 @@ func (v *VM) pushFrame(fn *ir.Func, args []uint64, retDst, retBase, retBound, re
 	}
 	if v.prog != nil {
 		nf.df = v.prog.funcs[fn]
-	}
-	if v.cprog != nil {
-		nf.cf = v.cprog.funcs[fn]
 	}
 	for i, r := range fn.ParamRegs {
 		if i < len(args) {
