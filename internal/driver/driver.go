@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"runtime/debug"
+	"sync"
 	"time"
 
 	"softbound/internal/core"
@@ -210,6 +211,15 @@ func Compile(sources []Source, cfg Config) (*ir.Module, error) {
 // produced module (zero when cfg.Optimize is off). The benchmark harness
 // surfaces these per program in BENCH.json.
 //
+// With cfg.WithLibc, the libc unit is not recompiled: it is built once
+// per instrumentation configuration (see libcUnitFor) and its final
+// functions are linked first, ahead of the user units. The returned
+// module therefore shares libc's *ir.Func values with every other module
+// compiled under the same configuration; they, like the rest of a
+// compiled module, are read-only. Only the user units are front-ended,
+// pre-optimized, instrumented and post-optimized here, and libc's
+// counters are added to theirs.
+//
 // Every failure it returns is a *CompileError; a panicking frontend is
 // recovered here (Stage "panic") so long-running callers survive inputs
 // that crash the compiler.
@@ -224,29 +234,26 @@ func CompileWithStats(sources []Source, cfg Config) (mod *ir.Module, counters me
 			}
 		}
 	}()
-	units := make([]Source, 0, len(sources)+1)
-	if cfg.WithLibc {
-		units = append(units, Source{Name: "libc.c", Text: libc.Unit()})
-	}
-	units = append(units, sources...)
-
+	var lib *libcUnit
 	var infos []*sema.Info
+	if cfg.WithLibc {
+		lib = libcUnitFor(cfg)
+		if lib.err != nil {
+			return nil, counters, lib.err
+		}
+		infos = append(infos, lib.info)
+	}
 	var mods []*ir.Module
-	for _, u := range units {
-		unit, err := cparser.Parse(u.Name, u.Text)
+	for _, u := range sources {
+		info, mod, err := frontEnd(u, infos)
 		if err != nil {
-			return nil, counters, &CompileError{Stage: "parse", Unit: u.Name, Err: err}
-		}
-		info, err := sema.Analyze(unit, infos...)
-		if err != nil {
-			return nil, counters, &CompileError{Stage: "typecheck", Unit: u.Name, Err: err}
-		}
-		mod, err := irgen.Generate(info)
-		if err != nil {
-			return nil, counters, &CompileError{Stage: "lower", Unit: u.Name, Err: err}
+			return nil, counters, err
 		}
 		infos = append(infos, info)
 		mods = append(mods, mod)
+	}
+	if lib != nil {
+		counters = lib.counters
 	}
 
 	// Pre-instrumentation optimization (the paper applies SoftBound
@@ -262,22 +269,20 @@ func CompileWithStats(sources []Source, cfg Config) (mod *ir.Module, counters me
 	// extern declarations' types (separate compilation).
 	if cfg.Mode != ModeNone {
 		sizer := buildSizer(infos, mods)
-		opts := core.DefaultOptions(coreMode(cfg.Mode))
-		opts.ShrinkBounds = cfg.ShrinkBounds
-		opts.ClearOnReturn = cfg.ClearOnReturn
-		opts.CheckArith = cfg.CheckArith
-		// Temporal lowering follows the metadata scheme: the -cets
-		// facilities store (key, lock) words, so selecting one turns the
-		// CETS instrumentation on; spatial-only schemes compile exactly
-		// as before.
-		opts.Temporal = cfg.Meta.Temporal()
+		opts := coreOptions(cfg)
 		for _, m := range mods {
 			core.Transform(m, sizer, opts)
 		}
 	}
 
-	// Link.
+	// Link, libc first.
 	linked := ir.NewModule("a.out")
+	if lib != nil {
+		if err := linked.Link(lib.mod); err != nil {
+			return nil, counters, &CompileError{Stage: "link", Err: err}
+		}
+	}
+	nlib := len(linked.Funcs)
 	for _, m := range mods {
 		if err := linked.Link(m); err != nil {
 			return nil, counters, &CompileError{Stage: "link", Err: err}
@@ -285,11 +290,122 @@ func CompileWithStats(sources []Source, cfg Config) (mod *ir.Module, counters me
 	}
 
 	// Post-instrumentation cleanup (redundant checks, dead metadata);
-	// GlobalOpt adds the whole-function CFG passes here.
+	// GlobalOpt adds the whole-function CFG passes here. The passes work
+	// one function at a time, so libc's functions, already in final
+	// form, are skipped.
 	if cfg.Optimize {
-		accumulateOpt(&counters, opt.OptimizeWith(linked, opt.Options{Global: cfg.GlobalOpt}))
+		accumulateOpt(&counters, opt.OptimizeFuncs(linked.Funcs[nlib:], opt.Options{Global: cfg.GlobalOpt}))
 	}
 	return linked, counters, nil
+}
+
+// frontEnd parses, typechecks (against the extern units' infos) and
+// lowers one translation unit.
+func frontEnd(u Source, externs []*sema.Info) (*sema.Info, *ir.Module, error) {
+	unit, err := cparser.Parse(u.Name, u.Text)
+	if err != nil {
+		return nil, nil, &CompileError{Stage: "parse", Unit: u.Name, Err: err}
+	}
+	info, err := sema.Analyze(unit, externs...)
+	if err != nil {
+		return nil, nil, &CompileError{Stage: "typecheck", Unit: u.Name, Err: err}
+	}
+	mod, err := irgen.Generate(info)
+	if err != nil {
+		return nil, nil, &CompileError{Stage: "lower", Unit: u.Name, Err: err}
+	}
+	return info, mod, nil
+}
+
+// coreOptions is the instrumentation configuration cfg selects.
+func coreOptions(cfg Config) core.Options {
+	opts := core.DefaultOptions(coreMode(cfg.Mode))
+	opts.ShrinkBounds = cfg.ShrinkBounds
+	opts.ClearOnReturn = cfg.ClearOnReturn
+	opts.CheckArith = cfg.CheckArith
+	// Temporal lowering follows the metadata scheme: the -cets
+	// facilities store (key, lock) words, so selecting one turns the
+	// CETS instrumentation on; spatial-only schemes compile exactly as
+	// before.
+	opts.Temporal = cfg.Meta.Temporal()
+	return opts
+}
+
+// libcKey is everything the pipeline reads when it compiles the libc
+// unit: whether and how it is instrumented, and which optimizer passes
+// run. Fields the pipeline ignores under a setting (the instrumentation
+// options when instrumentation is off, GlobalOpt when Optimize is off)
+// are left zero so equal builds share one entry.
+type libcKey struct {
+	instrument bool
+	opts       core.Options
+	optimize   bool
+	globalOpt  bool
+}
+
+// libcUnit is the libc translation unit compiled to its final,
+// post-optimized form under one libcKey. It is immutable once built:
+// user units typecheck against info, and every linked module shares
+// mod's functions read-only.
+type libcUnit struct {
+	once     sync.Once
+	info     *sema.Info
+	mod      *ir.Module
+	counters metrics.OptCounters
+	err      error
+}
+
+// libcUnits maps a libcKey to its *libcUnit. The key space is finite (a
+// handful of booleans and two modes), so entries are never evicted.
+var libcUnits sync.Map
+
+// libcUnitFor returns the libc unit built for cfg's configuration,
+// building it on first use.
+//
+// Building libc apart from the user units yields exactly the functions
+// and counters a joint build would: libc has no globals and no string
+// literals, so it neither contributes to nor reads the size oracle the
+// user units are instrumented with, and every optimizer pass works one
+// function at a time.
+func libcUnitFor(cfg Config) *libcUnit {
+	k := libcKey{optimize: cfg.Optimize, globalOpt: cfg.Optimize && cfg.GlobalOpt}
+	if cfg.Mode != ModeNone {
+		k.instrument = true
+		k.opts = coreOptions(cfg)
+	}
+	v, _ := libcUnits.LoadOrStore(k, &libcUnit{})
+	u := v.(*libcUnit)
+	u.once.Do(func() { u.build(k) })
+	return u
+}
+
+func (u *libcUnit) build(k libcKey) {
+	defer func() {
+		if r := recover(); r != nil {
+			u.err = &CompileError{
+				Stage: "panic",
+				Unit:  "libc.c",
+				Err:   fmt.Errorf("compiler panic: %v", r),
+				Stack: debug.Stack(),
+			}
+		}
+	}()
+	info, mod, err := frontEnd(Source{Name: "libc.c", Text: libc.Unit()}, nil)
+	if err != nil {
+		u.err = err
+		return
+	}
+	var counters metrics.OptCounters
+	if k.optimize {
+		accumulateOpt(&counters, opt.Optimize(mod))
+	}
+	if k.instrument {
+		core.Transform(mod, nil, k.opts)
+	}
+	if k.optimize {
+		accumulateOpt(&counters, opt.OptimizeWith(mod, opt.Options{Global: k.globalOpt}))
+	}
+	u.info, u.mod, u.counters = info, mod, counters
 }
 
 // accumulateOpt folds one opt.Result into the run's counters.

@@ -78,8 +78,16 @@ func Optimize(m *ir.Module) Result {
 // OptimizeWith runs the pass pipeline selected by o over the module
 // until fixpoint (bounded), returning aggregate results.
 func OptimizeWith(m *ir.Module, o Options) Result {
+	return OptimizeFuncs(m.Funcs, o)
+}
+
+// OptimizeFuncs runs the pass pipeline selected by o over each function
+// until fixpoint (bounded). Every pass works on one function at a time,
+// so optimizing a module's functions piecewise gives the same result as
+// optimizing the whole module.
+func OptimizeFuncs(funcs []*ir.Func, o Options) Result {
 	var total Result
-	for _, f := range m.Funcs {
+	for _, f := range funcs {
 		for iter := 0; iter < 8; iter++ {
 			r := Result{}
 			r.FoldedConsts = ConstFold(f)

@@ -155,7 +155,10 @@ func Analyze(unit *cast.TranslationUnit, externs ...*Info) (*Info, error) {
 		}
 		if g.Type.Kind == ctypes.Array && g.Type.ArrayLen < 0 {
 			g.Type = completeArrayFromInit(g.Type, g.Init)
-			if sym := fileScope[g.Name]; sym != nil {
+			// Only a global's type is completed: a function symbol of
+			// the same name may belong to an extern unit, which other
+			// compilations share (the driver's cached libc unit).
+			if sym := fileScope[g.Name]; sym != nil && sym.Kind == SymGlobal {
 				sym.Type = g.Type
 			}
 		}

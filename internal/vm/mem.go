@@ -48,16 +48,27 @@ const (
 )
 
 // Mem is the simulated memory: three byte-array segments.
+//
+// The heap and stack are mapped over their full extent from the start —
+// which addresses fault never depends on what has been touched — but are
+// backed on first touch: an access beyond the current backing grows it,
+// by doubling, up to the extent. The heap's backing covers its low
+// addresses and grows upward; the stack's covers its high addresses and
+// grows downward. Fresh backing is zero, so untouched memory reads as
+// zero, as a fully backed segment would.
 type Mem struct {
 	globals []byte
 	globEnd uint64 // GlobalBase + len(globals)
 
-	heap    []byte
-	heapEnd uint64 // HeapBase + heapBrk (mapped extent)
+	heap    []byte // heap[i] backs address HeapBase+i
+	heapEnd uint64 // HeapBase + heap segment size (mapped extent)
 
-	stack     []byte // stack[i] backs address StackBase+i
-	stackBase uint64 // StackTop - len(stack)
+	stack     []byte // stack[i] backs address StackTop-len(stack)+i
+	stackBase uint64 // StackTop - stack segment size (mapped extent)
 }
+
+// minBacking is the smallest backing a heap or stack touch allocates.
+const minBacking = 4 << 10
 
 // NewMem builds a memory with the given segment sizes.
 func NewMem(globalSize, heapSize, stackSize uint64) *Mem {
@@ -70,15 +81,14 @@ func NewMem(globalSize, heapSize, stackSize uint64) *Mem {
 	return &Mem{
 		globals:   make([]byte, globalSize),
 		globEnd:   GlobalBase + globalSize,
-		heap:      make([]byte, heapSize),
 		heapEnd:   HeapBase + heapSize,
-		stack:     make([]byte, stackSize),
 		stackBase: StackTop - stackSize,
 	}
 }
 
 // slice returns the backing bytes for [addr, addr+size), or an error if
-// the range is not mapped within a single segment.
+// the range is not mapped within a single segment. The bytes stay valid
+// only until the next access, which may grow (move) the backing.
 func (m *Mem) slice(addr, size uint64) ([]byte, error) {
 	switch {
 	case addr >= GlobalBase && addr+size <= m.globEnd && addr+size >= addr:
@@ -86,12 +96,34 @@ func (m *Mem) slice(addr, size uint64) ([]byte, error) {
 		return m.globals[off : off+size], nil
 	case addr >= HeapBase && addr+size <= m.heapEnd && addr+size >= addr:
 		off := addr - HeapBase
+		if off+size > uint64(len(m.heap)) {
+			m.heap = grow(m.heap, off+size, m.heapEnd-HeapBase, false)
+		}
 		return m.heap[off : off+size], nil
 	case addr >= m.stackBase && addr+size <= StackTop && addr+size >= addr:
-		off := addr - m.stackBase
+		depth := StackTop - addr
+		if depth > uint64(len(m.stack)) {
+			m.stack = grow(m.stack, depth, StackTop-m.stackBase, true)
+		}
+		off := uint64(len(m.stack)) - depth
 		return m.stack[off : off+size], nil
 	}
 	return nil, &FaultError{Addr: addr, Size: size}
+}
+
+// grow returns a backing of at least need bytes holding b's contents:
+// double b's length (at least minBacking), capped at the segment extent.
+// A downward-growing segment keeps its bytes at the tail, since its top
+// address is fixed.
+func grow(b []byte, need, extent uint64, down bool) []byte {
+	n := min(max(need, 2*uint64(len(b)), minBacking), extent)
+	nb := make([]byte, n)
+	if down {
+		copy(nb[n-uint64(len(b)):], b)
+	} else {
+		copy(nb, b)
+	}
+	return nb
 }
 
 // FaultError is an access to unmapped simulated memory (a segfault).
