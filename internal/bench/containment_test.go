@@ -87,7 +87,7 @@ func TestHungCellBackstop(t *testing.T) {
 	start := time.Now()
 	rep, err := Execute(Config{
 		Programs:    []string{"treeadd"},
-		Schemes:     []meta.Scheme{{Kind: meta.KindShadowSpace, Name: "shadowspace", New: func() meta.Facility { return meta.NewShadowSpace() }}},
+		Schemes:     []meta.Scheme{{Kind: meta.KindShadowSpace, Name: "shadowspace", New: func() meta.Facility { return meta.NewShadowSpace(false) }}},
 		Modes:       []driver.Mode{driver.ModeFull},
 		CellTimeout: timeout,
 	})

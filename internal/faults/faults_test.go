@@ -192,7 +192,6 @@ func (r *recorder) Clear(addr, size uint64) {
 }
 func (r *recorder) CopyRange(dst, src, size uint64) {}
 func (r *recorder) Costs() meta.Costs               { return meta.Costs{} }
-func (r *recorder) Footprint() int64                { return 0 }
 func (r *recorder) Occupancy() meta.Occupancy {
 	return meta.Occupancy{Live: int64(len(r.entries))}
 }

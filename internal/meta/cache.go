@@ -113,16 +113,14 @@ func (c *LookupCache) invalidate(addr, size uint64) {
 	}
 }
 
-// Costs, Footprint, and Name delegate to the inner facility: the cache
+// Costs, Occupancy, and Name delegate to the inner facility: the cache
 // does not change the modeled metadata scheme, only the interpreter's
 // wall clock (see the type comment).
 func (c *LookupCache) Costs() Costs { return c.inner.Costs() }
 
-// Footprint delegates; the lookaside models a hardware structure and
-// carries no simulated memory overhead.
-func (c *LookupCache) Footprint() int64 { return c.inner.Footprint() }
-
-// Occupancy delegates: the cache holds copies, not additional entries.
+// Occupancy delegates: the cache holds copies, not additional entries,
+// and the lookaside models a hardware structure, so it adds no simulated
+// memory overhead to Bytes.
 func (c *LookupCache) Occupancy() Occupancy { return c.inner.Occupancy() }
 
 // Name delegates so scheme-keyed reporting is unchanged.

@@ -12,17 +12,20 @@ import (
 
 func TestLookupCacheDifferentialRandomOps(t *testing.T) {
 	backends := []struct {
-		name string
-		mk   func() Facility
+		name     string
+		mk       func() Facility
+		temporal bool
 	}{
-		{"shadowspace", func() Facility { return NewShadowSpace() }},
+		{"shadowspace", func() Facility { return NewShadowSpace(false) }, false},
 		{"hashtable", func() Facility {
-			h, err := NewHashTable(1 << 12)
+			h, err := NewHashTable(1<<12, false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return h
-		}},
+		}, false},
+		{"shadow-cets", func() Facility { return NewShadowSpace(true) }, true},
+		{"hashtable-cets", func() Facility { return MustHashTable(1<<12, true) }, true},
 	}
 	for _, b := range backends {
 		t.Run(b.name, func(t *testing.T) {
@@ -37,6 +40,9 @@ func TestLookupCacheDifferentialRandomOps(t *testing.T) {
 				case 0, 1:
 					a := addr()
 					e := Entry{Base: uint64(rng.Int63()), Bound: uint64(rng.Int63())}
+					if b.temporal {
+						e.Key, e.Lock = uint64(rng.Int63()), uint64(rng.Int63())
+					}
 					bare.Update(a, e)
 					cached.Update(a, e)
 				case 2:
@@ -62,7 +68,7 @@ func TestLookupCacheDifferentialRandomOps(t *testing.T) {
 }
 
 func TestLookupCacheHitMissCounters(t *testing.T) {
-	c := NewLookupCache(NewShadowSpace())
+	c := NewLookupCache(NewShadowSpace(false))
 	c.Update(0x1000, Entry{Base: 1, Bound: 2})
 	if e := c.Lookup(0x1000); e.Base != 1 {
 		t.Fatalf("lookup after update: %+v", e)
@@ -78,7 +84,7 @@ func TestLookupCacheHitMissCounters(t *testing.T) {
 }
 
 func TestLookupCacheNegativeCachingStaysHonest(t *testing.T) {
-	c := NewLookupCache(NewShadowSpace())
+	c := NewLookupCache(NewShadowSpace(false))
 	if e := c.Lookup(0x3000); e != (Entry{}) {
 		t.Fatalf("empty facility returned %+v", e)
 	}
@@ -90,7 +96,7 @@ func TestLookupCacheNegativeCachingStaysHonest(t *testing.T) {
 }
 
 func TestLookupCacheClearInvalidates(t *testing.T) {
-	c := NewLookupCache(NewShadowSpace())
+	c := NewLookupCache(NewShadowSpace(false))
 	c.Update(0x4000, Entry{Base: 1, Bound: 2})
 	c.Update(0x4008, Entry{Base: 3, Bound: 4})
 	c.Clear(0x4000, 8) // only the first slot
@@ -109,7 +115,7 @@ func TestLookupCacheClearInvalidates(t *testing.T) {
 }
 
 func TestLookupCacheBigRangeWipes(t *testing.T) {
-	c := NewLookupCache(NewShadowSpace())
+	c := NewLookupCache(NewShadowSpace(false))
 	// Two entries whose keys are cacheSlots apart share a slot index but
 	// not a tag; a huge clear far away must still drop both (full wipe).
 	c.Update(0x10000, Entry{Base: 1, Bound: 2})
@@ -125,7 +131,7 @@ func TestLookupCacheBigRangeWipes(t *testing.T) {
 }
 
 func TestLookupCacheCopyRangeInvalidatesDestination(t *testing.T) {
-	c := NewLookupCache(NewShadowSpace())
+	c := NewLookupCache(NewShadowSpace(false))
 	c.Update(0x6000, Entry{Base: 11, Bound: 22}) // source
 	c.Update(0x7000, Entry{Base: 99, Bound: 99}) // destination, cached
 	c.CopyRange(0x7000, 0x6000, 8)
@@ -135,13 +141,13 @@ func TestLookupCacheCopyRangeInvalidatesDestination(t *testing.T) {
 }
 
 func TestLookupCacheDelegates(t *testing.T) {
-	inner := NewShadowSpace()
+	inner := NewShadowSpace(false)
 	c := NewLookupCache(inner)
 	if c.Name() != inner.Name() || c.Costs() != inner.Costs() {
 		t.Fatal("cache must not change the modeled scheme identity")
 	}
 	c.Update(0x8000, Entry{Base: 1, Bound: 2})
-	if c.Footprint() != inner.Footprint() {
+	if c.Occupancy() != inner.Occupancy() {
 		t.Fatal("footprint must delegate (the lookaside is modeled hardware)")
 	}
 }

@@ -6,178 +6,156 @@ import "fmt"
 // entries of (tag, base, bound), hashed by double-word address with a
 // shift-and-mask hash, collisions resolved by open addressing (linear
 // probing), and the table sized to keep utilization low. Each entry is 24
-// bytes assuming 64-bit pointers.
+// bytes assuming 64-bit pointers; a temporal table appends the key and
+// lock words, 40 bytes per entry.
 type HashTable struct {
-	tags   []uint64 // pointer address +1 (0 = empty)
-	bases  []uint64
-	bounds []uint64
-	mask   uint64
-	used   int
-	live   int64 // slots with nonzero base/bound (tombstones excluded)
+	// slots holds the entries back to back, stride words each: the tag
+	// (pointer address +1, 0 = empty), then the slot's metadata words.
+	slots    []uint64
+	stride   uint64
+	mask     uint64
+	used     int
+	live     int64 // slots with nonzero metadata (tombstones excluded)
+	temporal bool
 
 	// Probes counts total probe steps, exposing collision behaviour to
 	// tests and benchmarks.
 	Probes uint64
 }
 
-// NewHashTable returns a table with the given power-of-two entry count.
-// A non-power-of-two size is a constructor error (the shift-and-mask hash
-// requires the invariant), propagated so callers can fail closed.
-func NewHashTable(entries int) (*HashTable, error) {
+// NewHashTable returns a table with the given power-of-two entry count,
+// storing key and lock words when temporal is set. A non-power-of-two
+// size is a constructor error (the shift-and-mask hash requires the
+// invariant), propagated so callers can fail closed.
+func NewHashTable(entries int, temporal bool) (*HashTable, error) {
 	if entries <= 0 || entries&(entries-1) != 0 {
 		return nil, fmt.Errorf("meta: hash table size %d is not a positive power of two", entries)
 	}
+	stride := 1 + slotWords(temporal)
 	return &HashTable{
-		tags:   make([]uint64, entries),
-		bases:  make([]uint64, entries),
-		bounds: make([]uint64, entries),
-		mask:   uint64(entries - 1),
+		slots:    make([]uint64, uint64(entries)*stride),
+		stride:   stride,
+		mask:     uint64(entries - 1),
+		temporal: temporal,
 	}, nil
 }
 
 // MustHashTable is NewHashTable for compile-time-constant sizes, where a
 // bad size is a programmer error.
-func MustHashTable(entries int) *HashTable {
-	h, err := NewHashTable(entries)
+func MustHashTable(entries int, temporal bool) *HashTable {
+	h, err := NewHashTable(entries, temporal)
 	if err != nil {
 		panic(err)
 	}
 	return h
 }
 
-// hash implements the paper's simple hash: the double-word address modulo
-// the table size (shift and mask).
-func (h *HashTable) hash(addr uint64) uint64 { return (addr >> 3) & h.mask }
-
-// Lookup finds the entry for addr, or the zero entry. The key is the
-// double-word address (paper §5.1): the low three bits do not participate,
-// so all byte addresses within one pointer slot share an entry.
-func (h *HashTable) Lookup(addr uint64) Entry {
-	addr &^= 7
-	key := addr + 1
-	i := h.hash(addr)
-	for {
+// probe walks addr's probe chain. The key is the double-word address
+// (paper §5.1): the low three bits do not participate, so all byte
+// addresses within one pointer slot share an entry. The hash is the
+// paper's simple one, the double-word address modulo the table size
+// (shift and mask). probe returns the index of the entry tagged for
+// addr, or of the empty entry that ends the chain (found false).
+func (h *HashTable) probe(addr uint64) (i uint64, found bool) {
+	tag := addr&^7 + 1
+	for i = (addr >> 3) & h.mask; ; i = (i + 1) & h.mask {
 		h.Probes++
-		tag := h.tags[i]
-		if tag == key {
-			return Entry{Base: h.bases[i], Bound: h.bounds[i]}
+		switch h.slots[i*h.stride] {
+		case tag:
+			return i, true
+		case 0:
+			return i, false
 		}
-		if tag == 0 {
-			return Entry{}
-		}
-		i = (i + 1) & h.mask
 	}
+}
+
+// words returns entry i's metadata words (everything after the tag).
+func (h *HashTable) words(i uint64) []uint64 {
+	j := i * h.stride
+	return h.slots[j+1 : j+h.stride]
+}
+
+// Lookup finds the entry for addr, or the zero entry.
+func (h *HashTable) Lookup(addr uint64) Entry {
+	if i, ok := h.probe(addr); ok {
+		return load(h.words(i))
+	}
+	return Entry{}
 }
 
 // Update inserts or replaces the entry for addr, growing at 70% load.
 // Like Lookup, the key is the double-word address, so an update through an
 // unaligned byte address lands on the same entry Lookup and Clear use.
 func (h *HashTable) Update(addr uint64, e Entry) {
-	if uint64(h.used)*10 >= uint64(len(h.tags))*7 {
+	if uint64(h.used)*10 >= (h.mask+1)*7 {
 		h.grow()
 	}
-	addr &^= 7
-	key := addr + 1
-	i := h.hash(addr)
-	for {
-		h.Probes++
-		tag := h.tags[i]
-		if tag == key {
-			wasLive := h.bases[i] != 0 || h.bounds[i] != 0
-			h.bases[i], h.bounds[i] = e.Base, e.Bound
-			h.accountLive(wasLive, e.Base != 0 || e.Bound != 0)
-			return
-		}
-		if tag == 0 {
-			h.tags[i] = key
-			h.bases[i], h.bounds[i] = e.Base, e.Bound
-			h.used++
-			h.accountLive(false, e.Base != 0 || e.Bound != 0)
-			return
-		}
-		i = (i + 1) & h.mask
+	i, ok := h.probe(addr)
+	if !ok {
+		h.slots[i*h.stride] = addr&^7 + 1
+		h.used++
 	}
+	h.live += put(h.words(i), e)
 }
 
 func (h *HashTable) grow() {
-	old := *h
-	h.tags = make([]uint64, len(old.tags)*2)
-	h.bases = make([]uint64, len(old.bases)*2)
-	h.bounds = make([]uint64, len(old.bounds)*2)
-	h.mask = uint64(len(h.tags) - 1)
+	old := h.slots
+	h.slots = make([]uint64, 2*len(old))
+	h.mask = 2*h.mask + 1
 	h.used = 0
 	h.live = 0 // Update re-accounts every reinserted entry below
-	for i, tag := range old.tags {
-		// Cleared entries keep their tag (Clear zeroes only base/bound —
-		// open addressing cannot break probe chains), but rehashing is
-		// the one place dead entries can be dropped: skipping them here
-		// lets the load factor recover after update/clear churn.
-		if tag != 0 && (old.bases[i] != 0 || old.bounds[i] != 0) {
-			h.Update(tag-1, Entry{Base: old.bases[i], Bound: old.bounds[i]})
+	for j := uint64(0); j < uint64(len(old)); j += h.stride {
+		// Cleared entries keep their tag (Clear zeroes only the metadata
+		// words — open addressing cannot break probe chains), but
+		// rehashing is the one place dead entries can be dropped:
+		// skipping them here lets the load factor recover after
+		// update/clear churn.
+		if e := load(old[j+1 : j+h.stride]); old[j] != 0 && e.live() {
+			h.Update(old[j]-1, e)
 		}
 	}
 }
 
 // Clear zeroes metadata for every double-word slot in [addr, addr+size).
-// Open addressing cannot delete without tombstones; zeroing base/bound is
-// equivalent for safety (NULL bounds fail all checks).
+// Open addressing cannot delete without tombstones; zeroing the metadata
+// words is equivalent for safety (NULL bounds and a zero key fail all
+// checks).
 func (h *HashTable) Clear(addr, size uint64) {
 	if size == 0 {
 		return
 	}
-	start := addr &^ 7
-	for a := start; a < addr+size; a += 8 {
-		key := a + 1
-		i := h.hash(a)
-		for {
-			tag := h.tags[i]
-			if tag == key {
-				h.accountLive(h.bases[i] != 0 || h.bounds[i] != 0, false)
-				h.bases[i], h.bounds[i] = 0, 0
-				break
-			}
-			if tag == 0 {
-				break
-			}
-			i = (i + 1) & h.mask
+	for a := addr &^ 7; a < addr+size; a += 8 {
+		if i, ok := h.probe(a); ok {
+			h.live += put(h.words(i), Entry{})
 		}
 	}
 }
 
-// CopyRange copies metadata for each pointer-aligned slot. Overlapping
-// ranges follow memmove semantics: when dst overlaps src from above, the
-// copy runs backwards so already-copied slots are never read as source.
-func (h *HashTable) CopyRange(dst, src, size uint64) {
-	forEachSlotOffset(dst, src, size, func(off uint64) {
-		e := h.Lookup(src + off)
-		if e != (Entry{}) {
-			h.Update(dst+off, e)
-		} else {
-			h.Clear(dst+off, 8)
-		}
-	})
-}
+// CopyRange copies metadata for each pointer-aligned slot with memmove
+// semantics; a temporal table's key and lock travel with the spatial
+// words, so memcpy'd pointers keep their allocation identity.
+func (h *HashTable) CopyRange(dst, src, size uint64) { copyRange(h, dst, src, size) }
 
-// accountLive adjusts the live-entry counter for one slot's liveness
-// transition (shared shape across all four backends).
-func (h *HashTable) accountLive(was, is bool) {
-	if is && !was {
-		h.live++
-	} else if was && !is {
-		h.live--
+// Costs reports the paper's ~9-instruction lookup for the hash scheme. A
+// temporal table costs ~13: two more loads (key, lock) and the
+// lock-table load and compare.
+func (h *HashTable) Costs() Costs {
+	if h.temporal {
+		return Costs{Lookup: 13, Update: 13}
 	}
+	return Costs{Lookup: 9, Update: 9}
 }
 
-// Costs reports the paper's ~9-instruction lookup for the hash scheme.
-func (h *HashTable) Costs() Costs { return Costs{Lookup: 9, Update: 9} }
-
-// Occupancy reports live (non-tombstone) entries and table bytes.
+// Occupancy reports live (non-tombstone) entries and table bytes: 24 per
+// entry, or 40 when temporal.
 func (h *HashTable) Occupancy() Occupancy {
-	return Occupancy{Live: h.live, Bytes: h.Footprint()}
+	return Occupancy{Live: h.live, Bytes: int64(len(h.slots)) * 8}
 }
-
-// Footprint reports table bytes (24 per entry).
-func (h *HashTable) Footprint() int64 { return int64(len(h.tags)) * 24 }
 
 // Name identifies the scheme.
-func (h *HashTable) Name() string { return "hashtable" }
+func (h *HashTable) Name() string {
+	if h.temporal {
+		return "hashtable-cets"
+	}
+	return "hashtable"
+}

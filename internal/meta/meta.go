@@ -2,7 +2,7 @@
 // from the address of a pointer in memory to that pointer's base and bound
 // (paper §3.2, §5.1).
 //
-// Two implementations are provided, mirroring the paper:
+// Two organizations are provided, mirroring the paper:
 //
 //   - HashTable: an open-hashing table of (tag, base, bound) entries keyed
 //     by the double-word address. A lookup costs ~9 x86 instructions
@@ -10,6 +10,12 @@
 //   - ShadowSpace: a tag-less direct map over the whole address space; no
 //     collisions are possible, so the tag check disappears and a lookup
 //     costs ~5 instructions (shift, mask, add, two loads).
+//
+// Each organization is built spatial or temporal. A temporal facility
+// widens every entry by the CETS key and lock words and charges ~4 more
+// instructions per operation; nothing else about it differs, as in the
+// softboundcets runtime, where one runtime serves both configurations
+// and the temporal one only widens the entry.
 //
 // The Go implementations are functionally exact; the per-operation
 // instruction costs are reported through Costs so the benchmark harness
@@ -22,9 +28,10 @@ import "fmt"
 // Under the CETS-style temporal schemes the entry additionally carries
 // the allocation's key and its lock index into the VM's lock table; the
 // dereference check verifies locks[Lock] == Key before the spatial
-// compare. Spatial-only schemes leave Key and Lock zero, which fails the
-// temporal check — fail-closed — but temporal checks are only emitted
-// when a temporal scheme is selected, so spatial runs never consult them.
+// compare. A spatial facility stores no key or lock word, so its entries
+// read back with Key and Lock zero, which fails the temporal check —
+// fail-closed — but temporal checks are only emitted when a temporal
+// scheme is selected, so spatial runs never consult them.
 type Entry struct {
 	Base  uint64
 	Bound uint64
@@ -42,19 +49,54 @@ type Costs struct {
 // Occupancy is a facility's current population: Live counts pointer
 // slots whose entry carries any nonzero metadata word, Bytes is the
 // table's memory footprint. Long-running services watch this pair to
-// see metadata growth (leaks, churn, shadow-page spread) rather than
-// the one-shot Footprint number alone.
+// see metadata growth (leaks, churn, shadow-page spread).
 type Occupancy struct {
 	Live  int64
 	Bytes int64
 }
 
-// live reports whether an entry holds any metadata at all — the shared
-// liveness predicate used by the occupancy accounting in every backend
-// (cleared hashtable slots keep their tag but zero all four words, so
-// tag presence is not liveness).
+// live reports whether an entry holds any metadata at all — the
+// liveness predicate behind the occupancy accounting (cleared hashtable
+// slots keep their tag but zero every metadata word, so tag presence is
+// not liveness).
 func (e Entry) live() bool {
 	return e.Base != 0 || e.Bound != 0 || e.Key != 0 || e.Lock != 0
+}
+
+// slotWords is how many metadata words a pointer slot stores: base and
+// bound, plus key and lock when the facility is temporal.
+func slotWords(temporal bool) uint64 {
+	if temporal {
+		return 4
+	}
+	return 2
+}
+
+// load reads an entry from a slot's stored words; a spatial (two-word)
+// slot reads back with Key and Lock zero.
+func load(w []uint64) Entry {
+	if len(w) == 4 {
+		return Entry{Base: w[0], Bound: w[1], Key: w[2], Lock: w[3]}
+	}
+	return Entry{Base: w[0], Bound: w[1]}
+}
+
+// put stores e into a slot's words, dropping Key and Lock when the slot
+// is spatial, and returns the slot's change in liveness (-1, 0 or +1) so
+// each organization keeps its live counter by transition accounting.
+func put(w []uint64, e Entry) int64 {
+	var d int64
+	if load(w).live() {
+		d--
+	}
+	w[0], w[1] = e.Base, e.Bound
+	if len(w) == 4 {
+		w[2], w[3] = e.Key, e.Lock
+	}
+	if load(w).live() {
+		d++
+	}
+	return d
 }
 
 // Facility maps addresses of in-memory pointers to metadata.
@@ -72,21 +114,22 @@ type Facility interface {
 	CopyRange(dst, src, size uint64)
 	// Costs reports the modeled per-operation instruction costs.
 	Costs() Costs
-	// Footprint returns the facility's current memory overhead in bytes.
-	Footprint() int64
 	// Occupancy reports live entry count and table bytes in O(1); the
-	// backends maintain the live counter by transition accounting in
+	// facilities maintain the live counter by transition accounting in
 	// Update/Clear.
 	Occupancy() Occupancy
-	// Name identifies the scheme ("hashtable" or "shadowspace").
+	// Name identifies the scheme: the organization ("hashtable" or
+	// "shadowspace"), or its temporal configuration ("hashtable-cets" or
+	// "shadow-cets").
 	Name() string
 }
 
 // Kind selects a facility implementation.
 type Kind int
 
-// Facility kinds. The -cets kinds are the lock-and-key temporal variants:
-// same spatial organization, with each entry widened to carry (key, lock).
+// Facility kinds. The -cets kinds are the lock-and-key temporal
+// configurations: the same organization built with its temporal flag set,
+// so each entry is widened to carry (key, lock).
 const (
 	KindHashTable Kind = iota
 	KindShadowSpace
@@ -128,25 +171,36 @@ func New(k Kind) (Facility, error) {
 	return s.New(), nil
 }
 
-// forEachSlotOffset visits every double-word offset of a size-byte copy in
-// an order that is safe for overlapping ranges (memmove semantics): when
-// dst overlaps src from above, iterating forwards would read slots the copy
-// already overwrote, so the walk runs backwards instead.
-func forEachSlotOffset(dst, src, size uint64, fn func(off uint64)) {
+// copyRange replicates f's metadata for size bytes from src to dst, one
+// double-word slot at a time: a source slot without metadata clears its
+// destination. The walk is safe for overlapping ranges (memmove
+// semantics): when the destination slots overlap the source slots from
+// above, iterating forwards would read slots the copy already overwrote,
+// so the walk runs backwards instead. Overlap is judged on slots, not
+// bytes: byte ranges that are disjoint but unaligned can still share a
+// slot.
+func copyRange(f Facility, dst, src, size uint64) {
 	if size == 0 {
 		return
 	}
+	copySlot := func(off uint64) {
+		if e := f.Lookup(src + off); e != (Entry{}) {
+			f.Update(dst+off, e)
+		} else {
+			f.Clear((dst+off)&^7, 8) // aligned: 8 bytes from an unaligned address span two slots
+		}
+	}
 	last := (size - 1) &^ 7 // offset of the final double-word slot
-	if dst > src && dst-src < size {
+	if d, s := dst&^7, src&^7; d > s && d-s <= last {
 		for off := last; ; off -= 8 {
-			fn(off)
+			copySlot(off)
 			if off == 0 {
 				return
 			}
 		}
 	}
 	for off := uint64(0); off <= last; off += 8 {
-		fn(off)
+		copySlot(off)
 	}
 }
 

@@ -5,8 +5,14 @@ import (
 	"testing/quick"
 )
 
+// facilities returns both organizations in both configurations, spatial
+// and temporal, so every property test covers all four schemes.
 func facilities() []Facility {
-	return []Facility{MustHashTable(1 << 10), NewShadowSpace()}
+	var fs []Facility
+	for _, temporal := range []bool{false, true} {
+		fs = append(fs, MustHashTable(1<<10, temporal), NewShadowSpace(temporal))
+	}
+	return fs
 }
 
 func TestLookupMissingIsZero(t *testing.T) {
@@ -77,20 +83,29 @@ func TestCopyRange(t *testing.T) {
 }
 
 func TestHashTableGrowth(t *testing.T) {
-	h := MustHashTable(16)
-	// Insert far more than 16 entries: growth must preserve contents.
-	for i := uint64(0); i < 1000; i++ {
-		h.Update(i*8, Entry{Base: i, Bound: i + 8})
-	}
-	for i := uint64(0); i < 1000; i++ {
-		if got := h.Lookup(i * 8); got != (Entry{Base: i, Bound: i + 8}) {
-			t.Fatalf("entry %d lost after growth: %+v", i, got)
+	for _, temporal := range []bool{false, true} {
+		h := MustHashTable(16, temporal)
+		want := func(i uint64) Entry {
+			e := Entry{Base: i, Bound: i + 8}
+			if temporal {
+				e.Key, e.Lock = i+1, i+2
+			}
+			return e
+		}
+		// Insert far more than 16 entries: growth must preserve contents.
+		for i := uint64(0); i < 1000; i++ {
+			h.Update(i*8, want(i))
+		}
+		for i := uint64(0); i < 1000; i++ {
+			if got := h.Lookup(i * 8); got != want(i) {
+				t.Fatalf("%s: entry %d lost after growth: %+v", h.Name(), i, got)
+			}
 		}
 	}
 }
 
 func TestHashTableCollisions(t *testing.T) {
-	h := MustHashTable(16)
+	h := MustHashTable(16, false)
 	// Addresses that collide under the shift-and-mask hash.
 	a1 := uint64(0x100)
 	a2 := a1 + 16*8 // same hash bucket
@@ -108,12 +123,18 @@ func TestHashTableCollisions(t *testing.T) {
 }
 
 func TestCosts(t *testing.T) {
-	h := MustHashTable(16)
-	s := NewShadowSpace()
+	h := MustHashTable(16, false)
+	s := NewShadowSpace(false)
 	// Paper §5.1: ~9 instructions for the hash table, ~5 for the
 	// shadow space.
 	if h.Costs().Lookup != 9 || s.Costs().Lookup != 5 {
 		t.Fatalf("costs: hash=%d shadow=%d", h.Costs().Lookup, s.Costs().Lookup)
+	}
+	// The temporal configurations add the key/lock loads and the
+	// lock-table compare: ~4 more per operation.
+	ht, st := MustHashTable(16, true), NewShadowSpace(true)
+	if ht.Costs() != (Costs{Lookup: 13, Update: 13}) || st.Costs() != (Costs{Lookup: 9, Update: 9}) {
+		t.Fatalf("temporal costs: hash=%+v shadow=%+v", ht.Costs(), st.Costs())
 	}
 	c := Costed(s, Costs{Lookup: 14, Update: 14})
 	if c.Costs().Lookup != 14 {
@@ -122,30 +143,34 @@ func TestCosts(t *testing.T) {
 }
 
 func TestFootprintGrows(t *testing.T) {
-	s := NewShadowSpace()
-	f0 := s.Footprint()
-	s.Update(1<<30, Entry{Base: 1, Bound: 2})
-	if s.Footprint() <= f0 {
-		t.Error("shadow footprint did not grow on first touch")
+	for _, temporal := range []bool{false, true} {
+		s := NewShadowSpace(temporal)
+		f0 := s.Occupancy().Bytes
+		s.Update(1<<30, Entry{Base: 1, Bound: 2})
+		if s.Occupancy().Bytes <= f0 {
+			t.Errorf("%s: footprint did not grow on first touch", s.Name())
+		}
 	}
 }
 
 // TestFacilitiesAgree property-checks that both organizations implement
-// the same abstract map under arbitrary operation sequences.
+// the same abstract map under arbitrary operation sequences, in both
+// configurations. Updates carry a key and lock, which the temporal
+// facilities keep and the spatial ones both drop.
 func TestFacilitiesAgree(t *testing.T) {
 	type op struct {
 		Kind byte
 		Slot uint16
 		B, E uint32
 	}
-	f := func(ops []op) bool {
-		h := MustHashTable(64)
-		s := NewShadowSpace()
+	f := func(temporal bool, ops []op) bool {
+		h := MustHashTable(64, temporal)
+		s := NewShadowSpace(temporal)
 		for _, o := range ops {
 			addr := uint64(o.Slot) * 8
 			switch o.Kind % 4 {
 			case 0:
-				e := Entry{Base: uint64(o.B), Bound: uint64(o.E)}
+				e := Entry{Base: uint64(o.B), Bound: uint64(o.E), Key: uint64(o.E), Lock: uint64(o.Slot)}
 				h.Update(addr, e)
 				s.Update(addr, e)
 			case 1:

@@ -42,14 +42,16 @@ func MustRegister(s Scheme) {
 }
 
 func init() {
-	MustRegister(Scheme{Kind: KindHashTable, Name: "hashtable",
-		New: func() Facility { return MustHashTable(1 << 20) }})
-	MustRegister(Scheme{Kind: KindShadowSpace, Name: "shadowspace",
-		New: func() Facility { return NewShadowSpace() }})
-	MustRegister(Scheme{Kind: KindHashTableCETS, Name: "hashtable-cets",
-		New: func() Facility { return MustHashTableCETS(1 << 20) }})
-	MustRegister(Scheme{Kind: KindShadowCETS, Name: "shadow-cets",
-		New: func() Facility { return NewShadowCETS() }})
+	// The four schemes are the two organizations, each built spatial or
+	// temporal; the flag comes from the kind alone.
+	for _, k := range []Kind{KindHashTable, KindShadowSpace, KindHashTableCETS, KindShadowCETS} {
+		temporal := k.Temporal()
+		newFacility := func() Facility { return NewShadowSpace(temporal) }
+		if k == KindHashTable || k == KindHashTableCETS {
+			newFacility = func() Facility { return MustHashTable(1<<20, temporal) }
+		}
+		MustRegister(Scheme{Kind: k, Name: k.String(), New: newFacility})
+	}
 }
 
 // Schemes returns every registered scheme, sorted by name for stable

@@ -36,7 +36,7 @@ func TestUnalignedUpdateThenClear(t *testing.T) {
 // Regression: grow re-inserted cleared (tombstone) entries, so dead slots
 // were copied forever and the load factor never recovered.
 func TestGrowDropsClearedEntries(t *testing.T) {
-	h := MustHashTable(64)
+	h := MustHashTable(64, false)
 	live := Entry{Base: 0x9000, Bound: 0x9100}
 	for i := uint64(0); i < 32; i++ {
 		h.Update(i*8, Entry{Base: i + 1, Bound: i + 2})
@@ -63,7 +63,7 @@ func TestGrowDropsClearedEntries(t *testing.T) {
 // Update/Clear churn over distinct addresses must not retain dead entries
 // across growth: after heavy churn the table's live count stays tiny.
 func TestChurnLoadFactorRecovers(t *testing.T) {
-	h := MustHashTable(16)
+	h := MustHashTable(16, false)
 	for i := uint64(0); i < 10000; i++ {
 		h.Update(i*8, Entry{Base: 1, Bound: 2})
 		h.Clear(i*8, 8)
@@ -122,26 +122,67 @@ func TestCopyRangeOverlap(t *testing.T) {
 	}
 }
 
+// Regression: CopyRange judged overlap on bytes and cleared through the
+// unaligned destination address. Disjoint but unaligned byte ranges can
+// share a slot, so the walk ran forwards over a slot it had just written;
+// and an 8-byte Clear at an unaligned address spans two slots, so copying
+// an empty source slot also wiped the slot after it.
+func TestCopyRangeUnalignedSlots(t *testing.T) {
+	a, b := Entry{Base: 0x10, Bound: 0x18}, Entry{Base: 0x20, Bound: 0x28}
+	for _, f := range facilities() {
+		// Bytes [0x138,0x141) and [0x141,0x14a) are disjoint, but the
+		// slots they cover (0x138,0x140 and 0x140,0x148) overlap.
+		f.Update(0x138, a)
+		f.Update(0x140, b)
+		f.CopyRange(0x141, 0x138, 9)
+		if got := f.Lookup(0x140); got != a {
+			t.Errorf("%s: slot 0x140 = %+v, want %+v", f.Name(), got, a)
+		}
+		if got := f.Lookup(0x148); got != b {
+			t.Errorf("%s: slot 0x148 = %+v, want %+v (read after overwrite)", f.Name(), got, b)
+		}
+
+		// Copying 7 bytes with no metadata into 0x201 covers slot 0x200
+		// only; the pointer in slot 0x208 keeps its metadata.
+		f.Update(0x200, a)
+		f.Update(0x208, b)
+		f.CopyRange(0x201, 0x900, 7)
+		if got := f.Lookup(0x200); got != (Entry{}) {
+			t.Errorf("%s: copied-over slot 0x200 kept %+v", f.Name(), got)
+		}
+		if got := f.Lookup(0x208); got != b {
+			t.Errorf("%s: slot 0x208 past the copy = %+v, want %+v", f.Name(), got, b)
+		}
+	}
+}
+
 // TestFacilitiesAgreeUnaligned differentially fuzzes both schemes with
 // byte-granularity (unaligned) addresses and overlapping CopyRanges — the
 // op mix the fixed bugs were hiding in — and asserts the two organizations
-// stay observationally identical.
+// stay observationally identical, spatial and temporal alike.
 func TestFacilitiesAgreeUnaligned(t *testing.T) {
+	for _, temporal := range []bool{false, true} {
+		facilitiesAgreeUnaligned(t, temporal)
+	}
+}
+
+func facilitiesAgreeUnaligned(t *testing.T, temporal bool) {
 	const window = 1 << 12 // byte window the ops land in
 	rng := rand.New(rand.NewSource(1))
-	h := MustHashTable(64)
-	s := NewShadowSpace()
+	h := MustHashTable(64, temporal)
+	s := NewShadowSpace(temporal)
 	for i := 0; i < 20000; i++ {
 		addr := uint64(rng.Intn(window))
 		switch rng.Intn(4) {
 		case 0:
-			e := Entry{Base: uint64(rng.Intn(1 << 16)), Bound: uint64(rng.Intn(1 << 16))}
+			e := Entry{Base: uint64(rng.Intn(1 << 16)), Bound: uint64(rng.Intn(1 << 16)),
+				Key: uint64(rng.Intn(1 << 16)), Lock: uint64(rng.Intn(1 << 16))}
 			h.Update(addr, e)
 			s.Update(addr, e)
 		case 1:
 			if h.Lookup(addr) != s.Lookup(addr) {
-				t.Fatalf("op %d: lookup(0x%x) disagrees: hash=%+v shadow=%+v",
-					i, addr, h.Lookup(addr), s.Lookup(addr))
+				t.Fatalf("%s op %d: lookup(0x%x) disagrees: hash=%+v shadow=%+v",
+					h.Name(), i, addr, h.Lookup(addr), s.Lookup(addr))
 			}
 		case 2:
 			size := uint64(rng.Intn(64))
@@ -165,8 +206,8 @@ func TestFacilitiesAgreeUnaligned(t *testing.T) {
 	}
 	for a := uint64(0); a < window; a += 8 {
 		if h.Lookup(a) != s.Lookup(a) {
-			t.Fatalf("final state: lookup(0x%x) disagrees: hash=%+v shadow=%+v",
-				a, h.Lookup(a), s.Lookup(a))
+			t.Fatalf("%s final state: lookup(0x%x) disagrees: hash=%+v shadow=%+v",
+				h.Name(), a, h.Lookup(a), s.Lookup(a))
 		}
 	}
 }

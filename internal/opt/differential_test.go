@@ -221,7 +221,7 @@ type fuzzOutcome struct {
 func runFuzzModule(m *ir.Module) fuzzOutcome {
 	machine, err := vm.New(m, vm.Config{
 		Mode:      vm.CheckFull,
-		Meta:      meta.NewShadowSpace(),
+		Meta:      meta.NewShadowSpace(false),
 		StepLimit: 500_000,
 	})
 	if err != nil {

@@ -337,7 +337,7 @@ func New(mod *ir.Module, cfg Config) (*VM, error) {
 	}
 	fac := cfg.Meta
 	if fac == nil {
-		fac = meta.NewShadowSpace()
+		fac = meta.NewShadowSpace(false)
 	}
 	v := &VM{
 		mod:         mod,
