@@ -253,22 +253,40 @@ func BenchmarkAblationCheckAtArith(b *testing.B) {
 // ----------------------------------------------------- micro-benchmarks
 
 // BenchmarkMetaHashTable and BenchmarkMetaShadowSpace measure raw
-// facility operation throughput (design decision 2).
+// facility operation throughput (design decision 2). The hash table also
+// reports probes/op, its probe steps per operation, which shows
+// clustering independently of the wall clock.
 func BenchmarkMetaHashTable(b *testing.B) {
-	benchFacility(b, meta.MustHashTable(1<<16, false))
+	h := meta.MustHashTable(1<<16, false)
+	benchFacility(b, h, &h.Probes)
 }
 
 // BenchmarkMetaShadowSpace measures the shadow-space facility.
 func BenchmarkMetaShadowSpace(b *testing.B) {
-	benchFacility(b, meta.NewShadowSpace(false))
+	benchFacility(b, meta.NewShadowSpace(false), nil)
 }
 
-func benchFacility(b *testing.B, f meta.Facility) {
+// benchFacility runs the update, lookup and copyrange sub-benchmarks on
+// f; probes, when non-nil, is f's probe counter.
+func benchFacility(b *testing.B, f meta.Facility, probes *uint64) {
+	var start uint64
+	startProbes := func() {
+		if probes != nil {
+			start = *probes
+		}
+	}
+	reportProbes := func(b *testing.B) {
+		if probes != nil {
+			b.ReportMetric(float64(*probes-start)/float64(b.N), "probes/op")
+		}
+	}
 	b.Run("update", func(b *testing.B) {
+		startProbes()
 		for i := 0; i < b.N; i++ {
 			a := uint64(i%4096) * 8
 			f.Update(a, meta.Entry{Base: a, Bound: a + 64})
 		}
+		reportProbes(b)
 	})
 	b.Run("lookup", func(b *testing.B) {
 		for i := 0; i < 4096; i++ {
@@ -276,16 +294,20 @@ func benchFacility(b *testing.B, f meta.Facility) {
 			f.Update(a, meta.Entry{Base: a, Bound: a + 64})
 		}
 		b.ResetTimer()
+		startProbes()
 		var e meta.Entry
 		for i := 0; i < b.N; i++ {
 			e = f.Lookup(uint64(i%4096) * 8)
 		}
 		_ = e
+		reportProbes(b)
 	})
 	b.Run("copyrange", func(b *testing.B) {
+		startProbes()
 		for i := 0; i < b.N; i++ {
 			f.CopyRange(1<<20, 0, 512)
 		}
+		reportProbes(b)
 	})
 }
 

@@ -45,8 +45,8 @@ func main() {
 	jsonOut := flag.String("json", "",
 		"write the benchmark matrix report to this file (BENCH.json schema)")
 	schemes := flag.String("schemes", "",
-		"comma-separated metadata schemes for the matrix (default: all registered: "+
-			strings.Join(meta.SchemeNames(), ", ")+")")
+		"comma-separated metadata schemes for the matrix (default: all: "+
+			strings.Join(meta.KindNames(), ", ")+")")
 	progList := flag.String("progs", "",
 		"comma-separated benchmark subset for the matrix (default: all 15)")
 	timeout := flag.Duration("timeout", 0,
@@ -213,7 +213,7 @@ func parseEngine(engine string) (vm.InterpKind, error) {
 // runBench executes the benchmark matrix and writes the human summary to
 // stdout and, if requested, the JSON report to jsonPath.
 func runBench(o benchOptions) error {
-	schemes, err := meta.ParseSchemes(o.schemes)
+	schemes, err := meta.ParseKinds(o.schemes)
 	if err != nil {
 		return err
 	}

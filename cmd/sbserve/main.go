@@ -1,7 +1,7 @@
 // Command sbserve is the resilient execution service: a long-running
 // HTTP/JSON server that compiles and executes C programs under any
-// registered metadata scheme and protection mode, with a bounded worker
-// pool, admission control (429 shedding), per-program circuit breakers,
+// metadata scheme and protection mode, with a bounded worker pool,
+// admission control (429 shedding), per-program circuit breakers,
 // a singleflight compile cache, and crash-replay bundles for every trap.
 //
 // Usage:

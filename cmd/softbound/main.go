@@ -34,8 +34,8 @@ import (
 func main() {
 	mode := flag.String("mode", "full", "checking mode: none, store, full")
 	metaKind := flag.String("meta", "shadow",
-		"metadata scheme: any registered name (shadowspace, hashtable, "+
-			"shadow-cets, hashtable-cets) or the aliases hash, shadow")
+		"metadata scheme: shadowspace, hashtable, shadow-cets, hashtable-cets, "+
+			"or the aliases hash, shadow")
 	stats := flag.Bool("stats", false, "print execution statistics")
 	dump := flag.Bool("dump", false, "dump the instrumented IR instead of running")
 	noOpt := flag.Bool("no-opt", false, "disable the optimizer")
@@ -82,16 +82,13 @@ func main() {
 	case "hash":
 		schemeName = "hashtable"
 	}
-	if sc, ok := meta.SchemeByName(schemeName); ok {
-		cfg.Meta = sc.Kind
-		if ctor := sc.New; ctor != nil {
-			cfg.MetaFacility = func() (meta.Facility, error) { return ctor(), nil }
-		}
-	} else {
+	k, err := meta.ParseKind(schemeName)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "unknown metadata scheme %q (have %v)\n",
-			*metaKind, meta.SchemeNames())
+			*metaKind, meta.KindNames())
 		os.Exit(2)
 	}
+	cfg.Meta = k
 	cfg.Optimize = !*noOpt
 	cfg.Stdout = os.Stdout
 	cfg.Timeout = *timeout

@@ -46,9 +46,9 @@ type Config struct {
 	// Programs restricts the matrix to a subset of progs.All() by name
 	// (nil = all 15, Figure 1 order).
 	Programs []string
-	// Schemes lists the metadata backends to measure (nil = the full
-	// meta registry).
-	Schemes []meta.Scheme
+	// Schemes lists the metadata schemes to measure (nil = all of
+	// meta.Kinds()).
+	Schemes []meta.Kind
 	// Modes lists the instrumented protection modes (nil = store-only
 	// and full, the paper's two checking modes). The uninstrumented
 	// baseline always runs; it is the denominator.
@@ -150,7 +150,7 @@ type spec struct {
 	bench  progs.Benchmark
 	scale  int
 	mode   driver.Mode
-	scheme meta.Scheme // zero value for the baseline
+	scheme meta.Kind // unused for the baseline
 
 	// Execution policy, copied from Config by buildMatrix.
 	timeout time.Duration
@@ -163,7 +163,7 @@ func (s spec) configName() string {
 	if s.mode == driver.ModeNone {
 		return baselineConfig
 	}
-	return s.scheme.Name + "-" + s.mode.String()
+	return s.scheme.String() + "-" + s.mode.String()
 }
 
 // DefaultModes returns the paper's two checking modes.
@@ -171,7 +171,7 @@ func DefaultModes() []driver.Mode {
 	return []driver.Mode{driver.ModeStoreOnly, driver.ModeFull}
 }
 
-// selectPrograms resolves cfg.Programs against the registry, preserving
+// selectPrograms resolves cfg.Programs against internal/progs, preserving
 // Figure 1 order.
 func selectPrograms(names []string) ([]progs.Benchmark, error) {
 	all := progs.All()
@@ -203,7 +203,7 @@ func buildMatrix(cfg Config) ([]spec, error) {
 	}
 	schemes := cfg.Schemes
 	if len(schemes) == 0 {
-		schemes = meta.Schemes()
+		schemes = meta.Kinds()
 	}
 	modes := cfg.Modes
 	if len(modes) == 0 {
@@ -245,7 +245,7 @@ func newRun(s spec) Run {
 		Engine:  s.interp.String(),
 	}
 	if s.mode != driver.ModeNone {
-		run.Scheme = s.scheme.Name
+		run.Scheme = s.scheme.String()
 	}
 	return run
 }
@@ -256,14 +256,7 @@ func executeRun(s spec) Run {
 
 	dcfg := driver.DefaultConfig(s.mode)
 	if s.mode != driver.ModeNone {
-		dcfg.Meta = s.scheme.Kind
-		// Construct the facility from the scheme itself rather than its
-		// Kind: registered schemes beyond the two built-ins have no Kind
-		// of their own, and Kind-based construction would silently swap
-		// in the wrong backend.
-		if ctor := s.scheme.New; ctor != nil {
-			dcfg.MetaFacility = func() (meta.Facility, error) { return ctor(), nil }
-		}
+		dcfg.Meta = s.scheme
 	}
 	dcfg.Timeout = s.timeout
 	if s.steps != 0 {
@@ -443,7 +436,7 @@ func Execute(cfg Config) (*Report, error) {
 	for _, s := range specs {
 		rep.Programs = appendUnique(rep.Programs, s.bench.Name)
 		if s.mode != driver.ModeNone {
-			rep.Schemes = appendUnique(rep.Schemes, s.scheme.Name)
+			rep.Schemes = appendUnique(rep.Schemes, s.scheme.String())
 			rep.Modes = appendUnique(rep.Modes, s.mode.String())
 		}
 	}

@@ -26,14 +26,14 @@ func TestMatrixShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 15 programs × (1 baseline + 2 schemes × 2 modes).
-	if want := 15 * (1 + len(meta.Schemes())*2); len(specs) != want {
+	// 15 programs × (1 baseline + every scheme × 2 modes).
+	if want := 15 * (1 + len(meta.Kinds())*2); len(specs) != want {
 		t.Fatalf("full matrix has %d cells, want %d", len(specs), want)
 	}
 
 	specs, err = buildMatrix(Config{
 		Programs: []string{"treeadd"},
-		Schemes:  []meta.Scheme{mustScheme(t, "hashtable")},
+		Schemes:  []meta.Kind{meta.KindHashTable},
 		Modes:    []driver.Mode{driver.ModeFull},
 	})
 	if err != nil {
@@ -51,15 +51,6 @@ func TestMatrixShape(t *testing.T) {
 	}
 }
 
-func mustScheme(t *testing.T, name string) meta.Scheme {
-	t.Helper()
-	s, ok := meta.SchemeByName(name)
-	if !ok {
-		t.Fatalf("scheme %q not registered", name)
-	}
-	return s
-}
-
 // TestExecuteParallel runs a small matrix on several workers and checks
 // the report invariants: complete, error-free, overheads computed against
 // the right baselines, and valid JSON under the schema's key names.
@@ -71,8 +62,8 @@ func TestExecuteParallel(t *testing.T) {
 	if rep.Schema != SchemaVersion {
 		t.Errorf("schema = %d", rep.Schema)
 	}
-	// 2 programs × (1 baseline + every registered scheme × 2 modes).
-	if want := 2 * (1 + len(meta.Schemes())*2); len(rep.Runs) != want {
+	// 2 programs × (1 baseline + every scheme × 2 modes).
+	if want := 2 * (1 + len(meta.Kinds())*2); len(rep.Runs) != want {
 		t.Fatalf("got %d runs, want %d: %+v", len(rep.Runs), want, rep.Runs)
 	}
 	baselines := map[string]Run{}
@@ -110,7 +101,7 @@ func TestExecuteParallel(t *testing.T) {
 			t.Errorf("%s/%s: non-positive sim overhead %f", r.Program, r.Config, *r.OverheadSim)
 		}
 	}
-	if len(rep.Summary) != len(meta.Schemes())*2 {
+	if len(rep.Summary) != len(meta.Kinds())*2 {
 		t.Errorf("summary has %d configs: %+v", len(rep.Summary), rep.Summary)
 	}
 
@@ -195,7 +186,7 @@ func TestFormatMentionsEveryRun(t *testing.T) {
 		Workers:  2,
 		Scale:    testScale,
 		Programs: []string{"treeadd"},
-		Schemes:  []meta.Scheme{mustScheme(t, "shadowspace")},
+		Schemes:  []meta.Kind{meta.KindShadowSpace},
 	})
 	if err != nil {
 		t.Fatal(err)

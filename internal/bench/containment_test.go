@@ -13,23 +13,22 @@ import (
 
 // TestPanickingSchemeIsContained is the regression test for the harness's
 // original failure mode: one cell's panic killed the whole process and
-// every other result with it. A scheme whose constructor panics must yield
-// failed Runs for its cells (trap code "panic", both attempts recorded)
-// while the rest of the matrix completes normally.
+// every other result with it. A scheme whose cells panic (stubbed
+// runCell) must yield failed Runs for its cells (trap code "panic", both
+// attempts recorded) while the rest of the matrix completes normally.
 func TestPanickingSchemeIsContained(t *testing.T) {
-	good, ok := meta.SchemeByName("shadowspace")
-	if !ok {
-		t.Fatal("shadowspace not registered")
-	}
-	boom := meta.Scheme{
-		Kind: meta.KindShadowSpace,
-		Name: "panicboom",
-		New:  func() meta.Facility { panic("boom: deliberate constructor panic") },
+	old := runCell
+	defer func() { runCell = old }()
+	runCell = func(s spec) Run {
+		if s.mode != driver.ModeNone && s.scheme == meta.KindHashTable {
+			panic("boom: deliberate cell panic")
+		}
+		return old(s)
 	}
 	rep, err := Execute(Config{
 		Programs:    []string{"treeadd"},
 		Scale:       2,
-		Schemes:     []meta.Scheme{good, boom},
+		Schemes:     []meta.Kind{meta.KindShadowSpace, meta.KindHashTable},
 		Modes:       []driver.Mode{driver.ModeFull},
 		CellTimeout: 30 * time.Second,
 	})
@@ -43,7 +42,7 @@ func TestPanickingSchemeIsContained(t *testing.T) {
 	var sawBoom, sawGood, sawBase bool
 	for _, r := range rep.Runs {
 		switch {
-		case r.Scheme == "panicboom":
+		case r.Scheme == "hashtable":
 			sawBoom = true
 			if r.TrapCode != string(vm.TrapPanic) {
 				t.Errorf("panicking cell trap %q, want %q", r.TrapCode, vm.TrapPanic)
@@ -87,7 +86,7 @@ func TestHungCellBackstop(t *testing.T) {
 	start := time.Now()
 	rep, err := Execute(Config{
 		Programs:    []string{"treeadd"},
-		Schemes:     []meta.Scheme{{Kind: meta.KindShadowSpace, Name: "shadowspace", New: func() meta.Facility { return meta.NewShadowSpace(false) }}},
+		Schemes:     []meta.Kind{meta.KindShadowSpace},
 		Modes:       []driver.Mode{driver.ModeFull},
 		CellTimeout: timeout,
 	})
@@ -133,7 +132,7 @@ func TestDeadlineCellInMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 1 + len(meta.Schemes()); len(rep.Runs) != want {
+	if want := 1 + len(meta.Kinds()); len(rep.Runs) != want {
 		t.Fatalf("report has %d runs, want %d", len(rep.Runs), want)
 	}
 	var deadlined bool

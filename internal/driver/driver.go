@@ -106,8 +106,12 @@ type Config struct {
 	RefInterp bool
 
 	// MetaFacility, when non-nil, constructs the metadata facility
-	// directly, overriding Meta. The bench harness uses this to run
-	// registered schemes whose Kind alone cannot name them.
+	// directly, overriding Meta. The facility's kind must agree with
+	// Meta on Temporal, or the VM refuses to start.
+	//
+	// Deprecated: set Meta; every scheme is a meta.Kind. It stays only
+	// because the sbperf harness (internal/perf) sets it, and that
+	// package is frozen with the benchmark it implements.
 	MetaFacility func() (meta.Facility, error)
 
 	// MSCCModel applies the related-scheme cost model of §6.5: the same

@@ -238,42 +238,39 @@ type OverheadConfig struct {
 	Meta meta.Kind
 }
 
-// Figure2Configs returns the four configurations of Figure 2, enumerated
-// from the metadata scheme registry: every registered backend under both
-// checking modes.
+// Figure2Configs returns the configurations of Figure 2: every metadata
+// scheme (meta.Kinds) under both checking modes.
 func Figure2Configs() []OverheadConfig {
-	return MatrixConfigs(meta.Schemes(), []driver.Mode{driver.ModeFull, driver.ModeStoreOnly})
+	return MatrixConfigs(meta.Kinds(), []driver.Mode{driver.ModeFull, driver.ModeStoreOnly})
 }
 
 // MatrixConfigs expands schemes × modes into instrumentation configs with
-// the paper's display names ("HashTable-Complete", ...). The benchmark
-// harness and Figure 2 share this enumeration, so a newly registered
-// metadata backend shows up in both without further wiring.
-func MatrixConfigs(schemes []meta.Scheme, modes []driver.Mode) []OverheadConfig {
+// the paper's display names ("HashTable-Complete", ...).
+func MatrixConfigs(schemes []meta.Kind, modes []driver.Mode) []OverheadConfig {
 	var out []OverheadConfig
 	for _, m := range modes {
 		if m == driver.ModeNone {
 			continue
 		}
-		for _, s := range schemes {
+		for _, k := range schemes {
 			out = append(out, OverheadConfig{
-				Name: schemeDisplay(s.Name) + "-" + modeDisplay(m),
+				Name: schemeDisplay(k) + "-" + modeDisplay(m),
 				Mode: m,
-				Meta: s.Kind,
+				Meta: k,
 			})
 		}
 	}
 	return out
 }
 
-func schemeDisplay(name string) string {
-	switch name {
-	case "hashtable":
+func schemeDisplay(k meta.Kind) string {
+	switch k {
+	case meta.KindHashTable:
 		return "HashTable"
-	case "shadowspace":
+	case meta.KindShadowSpace:
 		return "ShadowSpace"
 	}
-	return name
+	return k.String()
 }
 
 func modeDisplay(m driver.Mode) string {

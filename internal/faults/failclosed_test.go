@@ -45,14 +45,10 @@ func plans() []faults.Plan {
 }
 
 // runProg executes one benchmark under the given mode/scheme/injector.
-func runProg(t *testing.T, src string, mode driver.Mode, scheme meta.Scheme, inj *faults.Injector) *driver.Result {
+func runProg(t *testing.T, src string, mode driver.Mode, scheme meta.Kind, inj *faults.Injector) *driver.Result {
 	t.Helper()
 	cfg := driver.DefaultConfig(mode)
-	if mode != driver.ModeNone {
-		ctor := scheme.New
-		cfg.Meta = scheme.Kind // the Kind drives temporal lowering for CETS schemes
-		cfg.MetaFacility = func() (meta.Facility, error) { return ctor(), nil }
-	}
+	cfg.Meta = scheme
 	cfg.Faults = inj
 	res, err := driver.RunSource(src, cfg)
 	if err != nil {
@@ -106,9 +102,9 @@ func TestFailClosedPrograms(t *testing.T) {
 		}
 		src := b.Source(failClosedScale)
 		for _, schemeName := range schemes {
-			scheme, ok := meta.SchemeByName(schemeName)
-			if !ok {
-				t.Fatalf("unknown scheme %q", schemeName)
+			scheme, err := meta.ParseKind(schemeName)
+			if err != nil {
+				t.Fatal(err)
 			}
 			ref := runProg(t, src, driver.ModeFull, scheme, nil)
 			if ref.Err != nil {
@@ -136,7 +132,7 @@ func TestFailClosedPrograms(t *testing.T) {
 // suite: programs that are already out to corrupt memory must stay
 // detected (or identical) under injected faults too.
 func TestFailClosedAttacks(t *testing.T) {
-	scheme, _ := meta.SchemeByName("shadowspace")
+	scheme := meta.KindShadowSpace
 	suite := attacks.Suite()
 	if len(suite) > 4 {
 		suite = suite[:4]
@@ -192,9 +188,9 @@ func TestStaleKeyFaultsFailClosed(t *testing.T) {
 		}
 		src := b.Source(failClosedScale)
 		for _, schemeName := range []string{"hashtable-cets", "shadow-cets"} {
-			scheme, ok := meta.SchemeByName(schemeName)
-			if !ok {
-				t.Fatalf("unknown scheme %q", schemeName)
+			scheme, err := meta.ParseKind(schemeName)
+			if err != nil {
+				t.Fatal(err)
 			}
 			ref := runProg(t, src, driver.ModeFull, scheme, nil)
 			if ref.Err != nil {
@@ -228,7 +224,7 @@ func TestStaleKeyFaultsFailClosed(t *testing.T) {
 
 	// Control arm: spatial-only entries carry no keys, so the stale
 	// schedule only defers — the class is a no-op there by construction.
-	spatial, _ := meta.SchemeByName("shadowspace")
+	spatial := meta.KindShadowSpace
 	b, _ := progs.Get("treeadd")
 	inj := faults.NewInjector(faults.Plan{Seed: 1, StaleEvery: 40})
 	res := runProg(t, b.Source(failClosedScale), driver.ModeFull, spatial, inj)
@@ -246,7 +242,7 @@ func TestStaleKeyFaultsFailClosed(t *testing.T) {
 // results above are vacuous.
 func TestUncheckedCorruption(t *testing.T) {
 	var divergences int
-	scheme := meta.Scheme{} // unused in ModeNone
+	scheme := meta.KindShadowSpace // unused in ModeNone
 	for _, name := range failClosedPrograms {
 		b, _ := progs.Get(name)
 		src := b.Source(failClosedScale)

@@ -259,8 +259,6 @@ func (f *faultyFacility) Lookup(addr uint64) meta.Entry {
 	return f.inj.mutateLookup(f.Facility.Lookup(addr))
 }
 
-func (f *faultyFacility) Name() string { return f.Facility.Name() + "+faults" }
-
 // mutateLookup applies the metadata fault schedule to one lookup result.
 // Empty entries defer the schedule (dropping or clobbering a slot that is
 // already zero changes nothing).

@@ -195,7 +195,7 @@ func (r *recorder) Costs() meta.Costs               { return meta.Costs{} }
 func (r *recorder) Occupancy() meta.Occupancy {
 	return meta.Occupancy{Live: int64(len(r.entries))}
 }
-func (r *recorder) Name() string { return "recorder" }
+func (r *recorder) Kind() meta.Kind { return meta.KindShadowCETS } // stores every word
 
 func TestWrapFacilityDropAndCorrupt(t *testing.T) {
 	base := &recorder{entries: map[uint64]meta.Entry{}}

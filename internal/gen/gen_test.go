@@ -103,22 +103,21 @@ func TestGeneratorCleanUnderChecking(t *testing.T) {
 		if err != nil || base.Trap != nil {
 			t.Fatalf("seed %d baseline: %v %v", seed, err, base)
 		}
-		for _, s := range meta.Schemes() {
+		for _, k := range meta.Kinds() {
 			for _, mode := range []driver.Mode{driver.ModeStoreOnly, driver.ModeFull} {
 				cfg := driver.DefaultConfig(mode)
-				cfg.Meta = s.Kind
-				cfg.MetaFacility = func() (meta.Facility, error) { return s.New(), nil }
+				cfg.Meta = k
 				res, err := driver.RunSource(src, cfg)
 				if err != nil {
-					t.Fatalf("seed %d %s-%v: %v", seed, s.Name, mode, err)
+					t.Fatalf("seed %d %s-%v: %v", seed, k, mode, err)
 				}
 				if res.Detected() || res.Trap != nil {
 					t.Fatalf("seed %d %s-%v: clean cell detected something: trap=%v violation=%v",
-						seed, s.Name, mode, res.TrapCode(), res.Err)
+						seed, k, mode, res.TrapCode(), res.Err)
 				}
 				if res.Output != base.Output || res.ExitCode != base.ExitCode {
 					t.Fatalf("seed %d %s-%v: output diverged from baseline:\n%q\nvs\n%q",
-						seed, s.Name, mode, res.Output, base.Output)
+						seed, k, mode, res.Output, base.Output)
 				}
 			}
 		}
@@ -143,19 +142,18 @@ func TestGeneratorPlantsDetected(t *testing.T) {
 			if base.Detected() {
 				t.Fatalf("seed %d plant %q: baseline detected?", seed, pl.Site)
 			}
-			for _, s := range meta.Schemes() {
+			for _, k := range meta.Kinds() {
 				for _, mode := range []driver.Mode{driver.ModeStoreOnly, driver.ModeFull} {
 					cfg := driver.DefaultConfig(mode)
-					cfg.Meta = s.Kind
-					cfg.MetaFacility = func() (meta.Facility, error) { return s.New(), nil }
+					cfg.Meta = k
 					res, err := driver.RunSource(src, cfg)
 					if err != nil {
-						t.Fatalf("seed %d plant %q %s-%v: %v", seed, pl.Site, s.Name, mode, err)
+						t.Fatalf("seed %d plant %q %s-%v: %v", seed, pl.Site, k, mode, err)
 					}
-					want := pl.Detected(mode == driver.ModeFull, s.Kind.Temporal())
+					want := pl.Detected(mode == driver.ModeFull, k.Temporal())
 					if got := res.Detected(); got != want {
 						t.Errorf("seed %d plant %q under %s-%v: detected=%v, want %v (trap %v)",
-							seed, pl.Site, s.Name, mode, got, want, res.TrapCode())
+							seed, pl.Site, k, mode, got, want, res.TrapCode())
 						continue
 					}
 					if want {
@@ -166,7 +164,7 @@ func TestGeneratorPlantsDetected(t *testing.T) {
 						}
 						if string(code) != wantCode {
 							t.Errorf("seed %d plant %q under %s-%v: trap %q, want %q",
-								seed, pl.Site, s.Name, mode, code, wantCode)
+								seed, pl.Site, k, mode, code, wantCode)
 						}
 					}
 				}

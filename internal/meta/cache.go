@@ -24,6 +24,9 @@ package meta
 // in metrics), priced at CacheHitCost instructions per probe.
 type LookupCache struct {
 	inner Facility
+	// temporal is whether inner stores key and lock words; a spatial
+	// facility drops them, so the cache must too.
+	temporal bool
 	// tags[i] holds the double-word key (addr>>3) cached in slot i, or 0
 	// for empty; key 0 would be the first 8 bytes of the address space,
 	// which is never a mapped pointer slot.
@@ -47,7 +50,7 @@ const (
 
 // NewLookupCache wraps inner with an empty cache.
 func NewLookupCache(inner Facility) *LookupCache {
-	return &LookupCache{inner: inner}
+	return &LookupCache{inner: inner, temporal: inner.Kind().Temporal()}
 }
 
 // Lookup probes the cache and falls back to the inner facility on a
@@ -68,9 +71,13 @@ func (c *LookupCache) Lookup(addr uint64) Entry {
 }
 
 // Update writes through: the inner facility is updated and the slot is
-// refreshed so a following Lookup hits.
+// refreshed so a following Lookup hits, with the entry as the inner
+// facility stores it (Key and Lock zero when spatial).
 func (c *LookupCache) Update(addr uint64, e Entry) {
 	c.inner.Update(addr, e)
+	if !c.temporal {
+		e.Key, e.Lock = 0, 0
+	}
 	k := addr >> 3
 	s := k & (cacheSlots - 1)
 	c.tags[s] = k
@@ -113,7 +120,7 @@ func (c *LookupCache) invalidate(addr, size uint64) {
 	}
 }
 
-// Costs, Occupancy, and Name delegate to the inner facility: the cache
+// Costs, Occupancy, and Kind delegate to the inner facility: the cache
 // does not change the modeled metadata scheme, only the interpreter's
 // wall clock (see the type comment).
 func (c *LookupCache) Costs() Costs { return c.inner.Costs() }
@@ -123,8 +130,8 @@ func (c *LookupCache) Costs() Costs { return c.inner.Costs() }
 // memory overhead to Bytes.
 func (c *LookupCache) Occupancy() Occupancy { return c.inner.Occupancy() }
 
-// Name delegates so scheme-keyed reporting is unchanged.
-func (c *LookupCache) Name() string { return c.inner.Name() }
+// Kind delegates so scheme-keyed reporting is unchanged.
+func (c *LookupCache) Kind() Kind { return c.inner.Kind() }
 
 // Hits returns the number of Lookup calls served from the cache.
 func (c *LookupCache) Hits() uint64 { return c.hits }

@@ -9,23 +9,25 @@ import (
 // facility operations routed through the cache returns exactly what the
 // bare facility would return. A random-operation differential over both
 // backends is the main guard; targeted tests pin the invalidation edges.
+// Updates always carry key and lock words, so the spatial backends check
+// that a cached entry reads back with them dropped, as the facility
+// stores it.
 
 func TestLookupCacheDifferentialRandomOps(t *testing.T) {
 	backends := []struct {
-		name     string
-		mk       func() Facility
-		temporal bool
+		name string
+		mk   func() Facility
 	}{
-		{"shadowspace", func() Facility { return NewShadowSpace(false) }, false},
+		{"shadowspace", func() Facility { return NewShadowSpace(false) }},
 		{"hashtable", func() Facility {
 			h, err := NewHashTable(1<<12, false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return h
-		}, false},
-		{"shadow-cets", func() Facility { return NewShadowSpace(true) }, true},
-		{"hashtable-cets", func() Facility { return MustHashTable(1<<12, true) }, true},
+		}},
+		{"shadow-cets", func() Facility { return NewShadowSpace(true) }},
+		{"hashtable-cets", func() Facility { return MustHashTable(1<<12, true) }},
 	}
 	for _, b := range backends {
 		t.Run(b.name, func(t *testing.T) {
@@ -39,10 +41,8 @@ func TestLookupCacheDifferentialRandomOps(t *testing.T) {
 				switch rng.Intn(10) {
 				case 0, 1:
 					a := addr()
-					e := Entry{Base: uint64(rng.Int63()), Bound: uint64(rng.Int63())}
-					if b.temporal {
-						e.Key, e.Lock = uint64(rng.Int63()), uint64(rng.Int63())
-					}
+					e := Entry{Base: uint64(rng.Int63()), Bound: uint64(rng.Int63()),
+						Key: uint64(rng.Int63()), Lock: uint64(rng.Int63())}
 					bare.Update(a, e)
 					cached.Update(a, e)
 				case 2:
@@ -143,7 +143,7 @@ func TestLookupCacheCopyRangeInvalidatesDestination(t *testing.T) {
 func TestLookupCacheDelegates(t *testing.T) {
 	inner := NewShadowSpace(false)
 	c := NewLookupCache(inner)
-	if c.Name() != inner.Name() || c.Costs() != inner.Costs() {
+	if c.Kind() != inner.Kind() || c.Costs() != inner.Costs() {
 		t.Fatal("cache must not change the modeled scheme identity")
 	}
 	c.Update(0x8000, Entry{Base: 1, Bound: 2})

@@ -152,10 +152,10 @@ func (h *HashTable) Occupancy() Occupancy {
 	return Occupancy{Live: h.live, Bytes: int64(len(h.slots)) * 8}
 }
 
-// Name identifies the scheme.
-func (h *HashTable) Name() string {
+// Kind identifies the scheme.
+func (h *HashTable) Kind() Kind {
 	if h.temporal {
-		return "hashtable-cets"
+		return KindHashTableCETS
 	}
-	return "hashtable"
+	return KindHashTable
 }

@@ -17,6 +17,11 @@
 // softboundcets runtime, where one runtime serves both configurations
 // and the temporal one only widens the entry.
 //
+// The two organizations times the two configurations give exactly four
+// schemes, each named by a Kind. The set is closed: Kinds lists it,
+// ParseKind and ParseKinds resolve scheme names, and New is the one
+// constructor.
+//
 // The Go implementations are functionally exact; the per-operation
 // instruction costs are reported through Costs so the benchmark harness
 // can reproduce the paper's overhead accounting on simulated hardware.
@@ -118,10 +123,10 @@ type Facility interface {
 	// facilities maintain the live counter by transition accounting in
 	// Update/Clear.
 	Occupancy() Occupancy
-	// Name identifies the scheme: the organization ("hashtable" or
-	// "shadowspace"), or its temporal configuration ("hashtable-cets" or
-	// "shadow-cets").
-	Name() string
+	// Kind identifies the scheme: the organization and whether it is
+	// built temporal. Wrappers report the kind of the facility they
+	// wrap, so Kind().Temporal() always says how wide an entry is.
+	Kind() Kind
 }
 
 // Kind selects a facility implementation.
@@ -159,16 +164,19 @@ func (k Kind) Temporal() bool {
 	return k == KindHashTableCETS || k == KindShadowCETS
 }
 
-// New constructs a facility of the given kind via the scheme registry. An
-// unregistered kind is a constructor error, propagated rather than
-// panicked so a misconfigured run fails closed as a reported failure
-// instead of taking down the whole process.
+// New constructs a facility of the given kind: a hash table of 1<<20
+// entries or a shadow space, temporal when the kind is. An unknown kind
+// is a constructor error, propagated rather than panicked so a
+// misconfigured run fails closed as a reported failure instead of
+// taking down the whole process.
 func New(k Kind) (Facility, error) {
-	s, ok := SchemeByName(k.String())
-	if !ok {
-		return nil, fmt.Errorf("meta: no registered scheme for kind %q", k.String())
+	switch k {
+	case KindHashTable, KindHashTableCETS:
+		return MustHashTable(1<<20, k.Temporal()), nil
+	case KindShadowSpace, KindShadowCETS:
+		return NewShadowSpace(k.Temporal()), nil
 	}
-	return s.New(), nil
+	return nil, fmt.Errorf("meta: unknown scheme kind %v", k)
 }
 
 // copyRange replicates f's metadata for size bytes from src to dst, one
@@ -215,4 +223,3 @@ type costed struct {
 }
 
 func (c *costed) Costs() Costs { return c.costs }
-func (c *costed) Name() string { return c.Facility.Name() + "+costed" }

@@ -18,7 +18,7 @@ func facilities() []Facility {
 func TestLookupMissingIsZero(t *testing.T) {
 	for _, f := range facilities() {
 		if e := f.Lookup(0x1234560); e != (Entry{}) {
-			t.Errorf("%s: missing lookup = %+v", f.Name(), e)
+			t.Errorf("%s: missing lookup = %+v", f.Kind(), e)
 		}
 	}
 }
@@ -28,17 +28,17 @@ func TestUpdateLookupRoundTrip(t *testing.T) {
 		e := Entry{Base: 0x1000, Bound: 0x1040}
 		f.Update(0x2000, e)
 		if got := f.Lookup(0x2000); got != e {
-			t.Errorf("%s: got %+v", f.Name(), got)
+			t.Errorf("%s: got %+v", f.Kind(), got)
 		}
 		// Overwrite.
 		e2 := Entry{Base: 0x3000, Bound: 0x3008}
 		f.Update(0x2000, e2)
 		if got := f.Lookup(0x2000); got != e2 {
-			t.Errorf("%s: after overwrite got %+v", f.Name(), got)
+			t.Errorf("%s: after overwrite got %+v", f.Kind(), got)
 		}
 		// Neighbouring slots unaffected.
 		if got := f.Lookup(0x2008); got != (Entry{}) {
-			t.Errorf("%s: neighbour affected: %+v", f.Name(), got)
+			t.Errorf("%s: neighbour affected: %+v", f.Kind(), got)
 		}
 	}
 }
@@ -53,10 +53,10 @@ func TestClear(t *testing.T) {
 			got := f.Lookup(0x4000 + i*8)
 			cleared := i >= 1 && i <= 3
 			if cleared && got != (Entry{}) {
-				t.Errorf("%s: slot %d not cleared", f.Name(), i)
+				t.Errorf("%s: slot %d not cleared", f.Kind(), i)
 			}
 			if !cleared && got == (Entry{}) {
-				t.Errorf("%s: slot %d wrongly cleared", f.Name(), i)
+				t.Errorf("%s: slot %d wrongly cleared", f.Kind(), i)
 			}
 		}
 	}
@@ -69,15 +69,15 @@ func TestCopyRange(t *testing.T) {
 		f.Update(0x6008, Entry{Base: 99, Bound: 100}) // stale dst metadata
 		f.CopyRange(0x6000, 0x5000, 16)
 		if got := f.Lookup(0x6000); got != (Entry{Base: 10, Bound: 20}) {
-			t.Errorf("%s: copy slot 0: %+v", f.Name(), got)
+			t.Errorf("%s: copy slot 0: %+v", f.Kind(), got)
 		}
 		if got := f.Lookup(0x6008); got != (Entry{Base: 30, Bound: 40}) {
-			t.Errorf("%s: copy slot 1: %+v", f.Name(), got)
+			t.Errorf("%s: copy slot 1: %+v", f.Kind(), got)
 		}
 		// Copying a region with no metadata clears the destination.
 		f.CopyRange(0x6000, 0x7000, 16)
 		if got := f.Lookup(0x6000); got != (Entry{}) {
-			t.Errorf("%s: stale metadata survived copy: %+v", f.Name(), got)
+			t.Errorf("%s: stale metadata survived copy: %+v", f.Kind(), got)
 		}
 	}
 }
@@ -98,7 +98,7 @@ func TestHashTableGrowth(t *testing.T) {
 		}
 		for i := uint64(0); i < 1000; i++ {
 			if got := h.Lookup(i * 8); got != want(i) {
-				t.Fatalf("%s: entry %d lost after growth: %+v", h.Name(), i, got)
+				t.Fatalf("%s: entry %d lost after growth: %+v", h.Kind(), i, got)
 			}
 		}
 	}
@@ -148,7 +148,7 @@ func TestFootprintGrows(t *testing.T) {
 		f0 := s.Occupancy().Bytes
 		s.Update(1<<30, Entry{Base: 1, Bound: 2})
 		if s.Occupancy().Bytes <= f0 {
-			t.Errorf("%s: footprint did not grow on first touch", s.Name())
+			t.Errorf("%s: footprint did not grow on first touch", s.Kind())
 		}
 	}
 }
@@ -201,23 +201,28 @@ func TestFacilitiesAgree(t *testing.T) {
 	}
 }
 
-// An unknown kind must not masquerade as a registered scheme: New
-// rejects it, while every known kind still round-trips through the
-// registry by name.
+// An unknown kind must not masquerade as a scheme: New rejects it and
+// ParseKind does not resolve its String, while every known kind
+// round-trips by name and constructs a facility reporting that kind.
 func TestKindStringUnknownAndRoundTrip(t *testing.T) {
 	if f, err := New(Kind(99)); err == nil {
-		t.Fatalf("New(Kind(99)) built %s, want an error", f.Name())
+		t.Fatalf("New(Kind(99)) built %v, want an error", f.Kind())
 	}
 	if got := Kind(99).String(); got != "Kind(99)" {
 		t.Errorf("Kind(99).String() = %q", got)
 	}
+	if k, err := ParseKind("Kind(99)"); err == nil {
+		t.Errorf("ParseKind(%q) = %v, want an error", "Kind(99)", k)
+	}
 	for _, k := range []Kind{KindHashTable, KindShadowSpace, KindHashTableCETS, KindShadowCETS} {
-		s, ok := SchemeByName(k.String())
-		if !ok || s.Kind != k {
-			t.Errorf("SchemeByName(%q) = %+v, %v; want kind %d", k.String(), s, ok, int(k))
+		if got, err := ParseKind(k.String()); err != nil || got != k {
+			t.Errorf("ParseKind(%q) = %v, %v; want kind %d", k.String(), got, err, int(k))
 		}
-		if _, err := New(k); err != nil {
+		f, err := New(k)
+		if err != nil {
 			t.Errorf("New(%v): %v", k, err)
+		} else if f.Kind() != k {
+			t.Errorf("New(%v) built a %v facility", k, f.Kind())
 		}
 	}
 }

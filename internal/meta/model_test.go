@@ -47,7 +47,7 @@ func (m *model) copyRange(dst, src, size uint64) {
 	}
 }
 
-// smallFacility builds kind k's configuration the way the registry does,
+// smallFacility builds kind k's configuration the way New does,
 // but with a 16-entry hash table so addresses alias and the table grows
 // many times under a short run.
 func smallFacility(k Kind) Facility {
@@ -57,7 +57,7 @@ func smallFacility(k Kind) Facility {
 	return NewShadowSpace(k.Temporal())
 }
 
-// TestFacilitiesMatchModel drives every registry configuration through a
+// TestFacilitiesMatchModel drives every scheme configuration through a
 // seeded collision-heavy mix of Update/Clear/CopyRange — unaligned and
 // overlapping ranges, addresses that alias modulo the table size at every
 // size the table grows through — and after each operation compares every
@@ -82,8 +82,8 @@ func TestFacilitiesMatchModel(t *testing.T) {
 	for _, k := range []Kind{KindHashTable, KindShadowSpace, KindHashTableCETS, KindShadowCETS} {
 		t.Run(k.String(), func(t *testing.T) {
 			f := smallFacility(k)
-			if f.Name() != k.String() {
-				t.Fatalf("built %q, want %q", f.Name(), k.String())
+			if f.Kind() != k {
+				t.Fatalf("built %v, want %v", f.Kind(), k)
 			}
 			bytes0 := f.Occupancy().Bytes
 			m := &model{temporal: k.Temporal(), slots: map[uint64]Entry{}}
@@ -161,7 +161,7 @@ func allocated(fn func()) uint64 {
 	return least
 }
 
-// TestFacilityAllocationPinned pins what each registry configuration
+// TestFacilityAllocationPinned pins what each scheme configuration
 // allocates, so per-request allocation cannot drift: a hash table is its
 // 1<<20 entries at 24 B (40 B temporal) plus a small header, and a
 // shadow space allocates exactly one page, 512 slots at 16 B (32 B

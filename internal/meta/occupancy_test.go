@@ -25,9 +25,12 @@ func occupancyScan(f Facility, addrs []uint64) int64 {
 // transitions the accounting must get right: insert, overwrite with live,
 // overwrite with zero (tombstone), re-insert, and range clear.
 func TestOccupancyTransitions(t *testing.T) {
-	for _, s := range Schemes() {
-		t.Run(s.Name, func(t *testing.T) {
-			f := s.New()
+	for _, k := range Kinds() {
+		t.Run(k.String(), func(t *testing.T) {
+			f, err := New(k)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if got := f.Occupancy().Live; got != 0 {
 				t.Fatalf("fresh facility Live = %d, want 0", got)
 			}

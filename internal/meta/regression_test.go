@@ -1,6 +1,7 @@
 package meta
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -13,14 +14,14 @@ func TestUnalignedUpdateThenClear(t *testing.T) {
 		e := Entry{Base: 0x1000, Bound: 0x1040}
 		f.Update(0x2003, e) // unaligned store address
 		if got := f.Lookup(0x2000); got != e {
-			t.Errorf("%s: aligned lookup after unaligned update = %+v", f.Name(), got)
+			t.Errorf("%s: aligned lookup after unaligned update = %+v", f.Kind(), got)
 		}
 		if got := f.Lookup(0x2007); got != e {
-			t.Errorf("%s: unaligned lookup after unaligned update = %+v", f.Name(), got)
+			t.Errorf("%s: unaligned lookup after unaligned update = %+v", f.Kind(), got)
 		}
 		f.Clear(0x2000, 8)
 		if got := f.Lookup(0x2003); got != (Entry{}) {
-			t.Errorf("%s: unaligned metadata survived aligned Clear: %+v", f.Name(), got)
+			t.Errorf("%s: unaligned metadata survived aligned Clear: %+v", f.Kind(), got)
 		}
 
 		// And the converse: aligned update, clear through an unaligned
@@ -28,7 +29,7 @@ func TestUnalignedUpdateThenClear(t *testing.T) {
 		f.Update(0x3000, e)
 		f.Clear(0x3005, 3)
 		if got := f.Lookup(0x3000); got != (Entry{}) {
-			t.Errorf("%s: aligned metadata survived unaligned Clear: %+v", f.Name(), got)
+			t.Errorf("%s: aligned metadata survived unaligned Clear: %+v", f.Kind(), got)
 		}
 	}
 }
@@ -82,12 +83,12 @@ func TestZeroSizeOpsAreNoOps(t *testing.T) {
 		f.Update(0x4000, e)
 		f.Clear(0x4001, 0)
 		if got := f.Lookup(0x4000); got != e {
-			t.Errorf("%s: zero-size Clear removed metadata: %+v", f.Name(), got)
+			t.Errorf("%s: zero-size Clear removed metadata: %+v", f.Kind(), got)
 		}
 		f.Update(0x5000, Entry{Base: 7, Bound: 8})
 		f.CopyRange(0x4001, 0x5000, 0)
 		if got := f.Lookup(0x4000); got != e {
-			t.Errorf("%s: zero-size CopyRange touched dst: %+v", f.Name(), got)
+			t.Errorf("%s: zero-size CopyRange touched dst: %+v", f.Kind(), got)
 		}
 	}
 }
@@ -105,7 +106,7 @@ func TestCopyRangeOverlap(t *testing.T) {
 		f.CopyRange(0x1008, 0x1000, 24)
 		for i := uint64(0); i < 3; i++ {
 			if got := f.Lookup(0x1008 + i*8); got != entry(i) {
-				t.Errorf("%s: upward overlap slot %d = %+v, want %+v", f.Name(), i, got, entry(i))
+				t.Errorf("%s: upward overlap slot %d = %+v, want %+v", f.Kind(), i, got, entry(i))
 			}
 		}
 
@@ -116,7 +117,7 @@ func TestCopyRangeOverlap(t *testing.T) {
 		f.CopyRange(0x2000, 0x2008, 24)
 		for i := uint64(0); i < 3; i++ {
 			if got := f.Lookup(0x2000 + i*8); got != entry(i+10) {
-				t.Errorf("%s: downward overlap slot %d = %+v, want %+v", f.Name(), i, got, entry(i+10))
+				t.Errorf("%s: downward overlap slot %d = %+v, want %+v", f.Kind(), i, got, entry(i+10))
 			}
 		}
 	}
@@ -136,10 +137,10 @@ func TestCopyRangeUnalignedSlots(t *testing.T) {
 		f.Update(0x140, b)
 		f.CopyRange(0x141, 0x138, 9)
 		if got := f.Lookup(0x140); got != a {
-			t.Errorf("%s: slot 0x140 = %+v, want %+v", f.Name(), got, a)
+			t.Errorf("%s: slot 0x140 = %+v, want %+v", f.Kind(), got, a)
 		}
 		if got := f.Lookup(0x148); got != b {
-			t.Errorf("%s: slot 0x148 = %+v, want %+v (read after overwrite)", f.Name(), got, b)
+			t.Errorf("%s: slot 0x148 = %+v, want %+v (read after overwrite)", f.Kind(), got, b)
 		}
 
 		// Copying 7 bytes with no metadata into 0x201 covers slot 0x200
@@ -148,10 +149,10 @@ func TestCopyRangeUnalignedSlots(t *testing.T) {
 		f.Update(0x208, b)
 		f.CopyRange(0x201, 0x900, 7)
 		if got := f.Lookup(0x200); got != (Entry{}) {
-			t.Errorf("%s: copied-over slot 0x200 kept %+v", f.Name(), got)
+			t.Errorf("%s: copied-over slot 0x200 kept %+v", f.Kind(), got)
 		}
 		if got := f.Lookup(0x208); got != b {
-			t.Errorf("%s: slot 0x208 past the copy = %+v, want %+v", f.Name(), got, b)
+			t.Errorf("%s: slot 0x208 past the copy = %+v, want %+v", f.Kind(), got, b)
 		}
 	}
 }
@@ -182,7 +183,7 @@ func facilitiesAgreeUnaligned(t *testing.T, temporal bool) {
 		case 1:
 			if h.Lookup(addr) != s.Lookup(addr) {
 				t.Fatalf("%s op %d: lookup(0x%x) disagrees: hash=%+v shadow=%+v",
-					h.Name(), i, addr, h.Lookup(addr), s.Lookup(addr))
+					h.Kind(), i, addr, h.Lookup(addr), s.Lookup(addr))
 			}
 		case 2:
 			size := uint64(rng.Intn(64))
@@ -207,37 +208,40 @@ func facilitiesAgreeUnaligned(t *testing.T, temporal bool) {
 	for a := uint64(0); a < window; a += 8 {
 		if h.Lookup(a) != s.Lookup(a) {
 			t.Fatalf("%s final state: lookup(0x%x) disagrees: hash=%+v shadow=%+v",
-				h.Name(), a, h.Lookup(a), s.Lookup(a))
+				h.Kind(), a, h.Lookup(a), s.Lookup(a))
 		}
 	}
 }
 
-// TestRegistry covers the scheme registry the benchmark matrix enumerates.
+// TestRegistry pins the closed scheme table the benchmark matrix
+// enumerates: its order (by name, which every matrix, report column and
+// BENCH.json row follows), its names and its parse errors.
 func TestRegistry(t *testing.T) {
-	all := Schemes()
-	if len(all) < 2 {
-		t.Fatalf("registry has %d schemes, want >= 2", len(all))
+	all := Kinds()
+	if got, want := fmt.Sprint(all), "[hashtable hashtable-cets shadow-cets shadowspace]"; got != want {
+		t.Fatalf("Kinds() = %s, want %s", got, want)
 	}
-	for _, sc := range all {
-		f := sc.New()
-		if f.Name() != sc.Name {
-			t.Errorf("scheme %q constructs facility named %q", sc.Name, f.Name())
+	if got := KindNames(); fmt.Sprint(got) != fmt.Sprint(all) {
+		t.Errorf("KindNames() = %v, want %v", got, all)
+	}
+	schemes := Schemes()
+	for i, k := range all {
+		if sc := schemes[i]; sc.Kind != k || sc.Name != k.String() || sc.New().Kind() != k {
+			t.Errorf("Schemes()[%d] = %v %q, want %v", i, sc.Kind, sc.Name, k)
 		}
-		if got, ok := SchemeByName(sc.Name); !ok || got.Kind != sc.Kind {
-			t.Errorf("SchemeByName(%q) = %+v, %v", sc.Name, got, ok)
-		}
 	}
-	if _, ok := SchemeByName("nope"); ok {
-		t.Error("SchemeByName accepted unknown scheme")
+	if k, err := ParseKind("nope"); err == nil {
+		t.Errorf("ParseKind accepted unknown scheme as %v", k)
 	}
-	parsed, err := ParseSchemes(" hashtable , shadowspace ")
-	if err != nil || len(parsed) != 2 {
-		t.Errorf("ParseSchemes = %v, %v", parsed, err)
+	parsed, err := ParseKinds(" hashtable , shadowspace ,hashtable")
+	if err != nil || fmt.Sprint(parsed) != "[hashtable shadowspace]" {
+		t.Errorf("ParseKinds = %v, %v", parsed, err)
 	}
-	if _, err := ParseSchemes("hashtable,bogus"); err == nil {
-		t.Error("ParseSchemes accepted unknown scheme")
+	const wantErr = `meta: unknown scheme "bogus" (have hashtable, hashtable-cets, shadow-cets, shadowspace)`
+	if _, err := ParseKinds("hashtable,bogus"); err == nil || err.Error() != wantErr {
+		t.Errorf("ParseKinds(bogus) error = %v, want %s", err, wantErr)
 	}
-	if parsed, err = ParseSchemes(""); err != nil || len(parsed) != len(all) {
-		t.Errorf("ParseSchemes(\"\") = %v, %v", parsed, err)
+	if parsed, err = ParseKinds(""); err != nil || fmt.Sprint(parsed) != fmt.Sprint(all) {
+		t.Errorf("ParseKinds(\"\") = %v, %v", parsed, err)
 	}
 }

@@ -98,10 +98,10 @@ func (s *ShadowSpace) Occupancy() Occupancy {
 	return Occupancy{Live: s.live, Bytes: int64(len(s.pages)) * shadowPageSlots * int64(s.width) * 8}
 }
 
-// Name identifies the scheme.
-func (s *ShadowSpace) Name() string {
+// Kind identifies the scheme.
+func (s *ShadowSpace) Kind() Kind {
 	if s.temporal {
-		return "shadow-cets"
+		return KindShadowCETS
 	}
-	return "shadowspace"
+	return KindShadowSpace
 }

@@ -50,18 +50,18 @@ func (b Benchmark) Source(scale int) string {
 	return strings.ReplaceAll(b.source, "@SCALE@", fmt.Sprint(scale))
 }
 
-var registry = map[string]Benchmark{}
+var benchmarks = map[string]Benchmark{}
 
 func register(b Benchmark) {
-	if _, dup := registry[b.Name]; dup {
+	if _, dup := benchmarks[b.Name]; dup {
 		panic("duplicate benchmark " + b.Name)
 	}
-	registry[b.Name] = b
+	benchmarks[b.Name] = b
 }
 
 // Get returns a benchmark by name.
 func Get(name string) (Benchmark, bool) {
-	b, ok := registry[name]
+	b, ok := benchmarks[name]
 	return b, ok
 }
 
@@ -76,7 +76,7 @@ func All() []Benchmark {
 	}
 	out := make([]Benchmark, 0, len(order))
 	for _, n := range order {
-		b, ok := registry[n]
+		b, ok := benchmarks[n]
 		if !ok {
 			panic("missing benchmark " + n)
 		}
@@ -87,8 +87,8 @@ func All() []Benchmark {
 
 // Names returns all benchmark names, sorted.
 func Names() []string {
-	names := make([]string, 0, len(registry))
-	for n := range registry {
+	names := make([]string, 0, len(benchmarks))
+	for n := range benchmarks {
 		names = append(names, n)
 	}
 	sort.Strings(names)

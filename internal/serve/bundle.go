@@ -97,7 +97,7 @@ func bundleConfig(b Bundle) (driver.Config, error) {
 	cfg := driver.DefaultConfig(mode)
 	cfg.Optimize = b.Optimize
 	if mode != driver.ModeNone {
-		if err := applyScheme(&cfg, b.Scheme); err != nil {
+		if cfg.Meta, err = parseScheme(b.Scheme); err != nil {
 			return driver.Config{}, err
 		}
 	}

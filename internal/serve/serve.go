@@ -1,6 +1,6 @@
 // Package serve is the resilient execution service: a long-running
 // HTTP/JSON front end that compiles and executes C programs under any
-// registered metadata scheme and protection mode, engineered to stay up
+// metadata scheme and protection mode, engineered to stay up
 // under hostile input and overload.
 //
 // The failure-containment stack, outside in:
@@ -129,8 +129,8 @@ func (o Options) withDefaults() Options {
 type Request struct {
 	// Source is the C program (one translation unit).
 	Source string `json:"source"`
-	// Scheme is a registered metadata scheme name (default "shadowspace";
-	// ignored when Mode is "none").
+	// Scheme names a metadata scheme, one of meta.Kinds (default
+	// "shadowspace"; ignored when Mode is "none").
 	Scheme string `json:"scheme,omitempty"`
 	// Mode is "none", "store-only", or "full" (default "full").
 	Mode string `json:"mode,omitempty"`
@@ -487,10 +487,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		scheme = "shadowspace"
 	}
 	if mode != driver.ModeNone {
-		if _, ok := meta.SchemeByName(scheme); !ok {
+		if _, err := parseScheme(scheme); err != nil {
 			s.counters.Inc("run.bad_request")
-			writeJSON(w, http.StatusBadRequest, ErrorBody{Error: fmt.Sprintf(
-				"unknown scheme %q (have %v)", scheme, meta.SchemeNames())})
+			writeJSON(w, http.StatusBadRequest, ErrorBody{Error: err.Error()})
 			return
 		}
 	}
@@ -679,6 +678,10 @@ func (s *Server) compileFailure(j *job, err error) jobResult {
 	return jobResult{status: http.StatusBadRequest, body: body}
 }
 
+// executeContext runs a compiled module; a variable so tests can make a
+// run crash.
+var executeContext = driver.ExecuteContext
+
 // runContained executes the compiled module with a panic backstop: a
 // crashing VM becomes a Result carrying a TrapPanic, never a dead worker.
 func (s *Server) runContained(ctx context.Context, entry *cacheEntry, cfg driver.Config) (res *driver.Result) {
@@ -688,7 +691,7 @@ func (s *Server) runContained(ctx context.Context, entry *cacheEntry, cfg driver
 			res = &driver.Result{Err: trap, Trap: trap, Stats: &metrics.Stats{}}
 		}
 	}()
-	return driver.ExecuteContext(ctx, entry.mod, cfg)
+	return executeContext(ctx, entry.mod, cfg)
 }
 
 // spool writes the crash-replay bundle for a trapped run ("" when
@@ -735,7 +738,7 @@ func (s *Server) driverConfig(req Request) driver.Config {
 		if scheme == "" {
 			scheme = "shadowspace"
 		}
-		_ = applyScheme(&cfg, scheme) // validated at admission
+		cfg.Meta, _ = parseScheme(scheme) // validated at admission
 	}
 	if req.Engine == "ref" {
 		cfg.Interp = vm.InterpRef
@@ -788,19 +791,13 @@ func parseMode(mode string) (driver.Mode, error) {
 	return 0, fmt.Errorf("unknown mode %q (want none, store-only, or full)", mode)
 }
 
-// applyScheme wires a registered scheme into the config by constructor,
-// not Kind — registered schemes beyond the built-ins have no Kind of
-// their own (the bench harness's rule).
-func applyScheme(cfg *driver.Config, name string) error {
-	sc, ok := meta.SchemeByName(name)
-	if !ok {
-		return fmt.Errorf("unknown scheme %q (have %v)", name, meta.SchemeNames())
+// parseScheme resolves a request's metadata scheme name.
+func parseScheme(name string) (meta.Kind, error) {
+	k, err := meta.ParseKind(name)
+	if err != nil {
+		return 0, fmt.Errorf("unknown scheme %q (have %v)", name, meta.KindNames())
 	}
-	cfg.Meta = sc.Kind
-	if ctor := sc.New; ctor != nil {
-		cfg.MetaFacility = func() (meta.Facility, error) { return ctor(), nil }
-	}
-	return nil
+	return k, nil
 }
 
 func max64(a, b int64) int64 {

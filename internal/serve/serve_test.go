@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -10,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"softbound/internal/driver"
+	"softbound/internal/ir"
 	"softbound/internal/meta"
 	"softbound/internal/retry"
 	"softbound/internal/vm"
@@ -167,6 +170,15 @@ func TestRequestValidation(t *testing.T) {
 			t.Errorf("%+v: status %d, want 400 (%s)", req, status, body)
 		}
 	}
+	// The unknown-scheme body names every scheme, in table order.
+	_, body := post(t, ts, Request{Source: okSrc, Scheme: "nope"})
+	const want = `{
+  "error": "unknown scheme \"nope\" (have [hashtable hashtable-cets shadow-cets shadowspace])"
+}
+`
+	if string(body) != want {
+		t.Errorf("unknown-scheme body %q, want %q", body, want)
+	}
 }
 
 // The retired "compiled" engine gets the same structured 400 as any
@@ -276,15 +288,20 @@ func TestSpatialBundleReplayWithFaults(t *testing.T) {
 }
 
 func TestPanickingSchemeIsContainedAndRetried(t *testing.T) {
-	// A metadata scheme whose constructor panics models a crashing
-	// backend: the worker must survive, the shared retry policy gets its
-	// bounded attempts, and the result is a structured trap.
-	meta.MustRegister(meta.Scheme{
-		Kind: meta.KindShadowSpace, Name: "serve-panicboom",
-		New: func() meta.Facility { panic("deliberate backend panic") },
-	})
+	// A metadata scheme whose runs panic (stubbed executeContext) models
+	// a crashing backend: the worker must survive, the shared retry
+	// policy gets its bounded attempts, and the result is a structured
+	// trap.
+	old := executeContext
+	t.Cleanup(func() { executeContext = old })
+	executeContext = func(ctx context.Context, mod *ir.Module, cfg driver.Config) *driver.Result {
+		if cfg.Mode != driver.ModeNone && cfg.Meta == meta.KindHashTable {
+			panic("deliberate backend panic")
+		}
+		return old(ctx, mod, cfg)
+	}
 	s, ts := newTestServer(t, Options{SpoolDir: t.TempDir()})
-	status, body := post(t, ts, Request{Source: okSrc, Scheme: "serve-panicboom"})
+	status, body := post(t, ts, Request{Source: okSrc, Scheme: "hashtable"})
 	if status != http.StatusOK {
 		t.Fatalf("status %d (%s)", status, body)
 	}

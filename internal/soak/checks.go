@@ -59,8 +59,8 @@ func checkRuns(seed uint64, variant string, pl *gen.Plant, cfgs []runCfg, result
 		}
 
 		want := false
-		if pl != nil && rc.scheme != nil {
-			want = pl.Detected(rc.mode == driver.ModeFull, rc.scheme.Kind.Temporal())
+		if pl != nil && rc.checked() {
+			want = pl.Detected(rc.mode == driver.ModeFull, rc.scheme.Temporal())
 		}
 		switch {
 		case want && !res.Detected():
@@ -109,12 +109,12 @@ func checkRuns(seed uint64, variant string, pl *gen.Plant, cfgs []runCfg, result
 
 	// Baseline and scheme agreement, fast engine as the witness.
 	baseline := pick(cfgs, results, func(rc runCfg) bool {
-		return rc.scheme == nil && rc.interp == vm.InterpFast
+		return !rc.checked() && rc.interp == vm.InterpFast
 	})
 	classes := map[string]int{} // "temporal/mode" -> index of first scheme's run
 	for i, res := range results {
 		rc := cfgs[i]
-		if res == nil || rc.scheme == nil || rc.interp != vm.InterpFast {
+		if res == nil || !rc.checked() || rc.interp != vm.InterpFast {
 			continue
 		}
 		if baseline != nil && res.Trap == nil && !res.Detected() {
@@ -124,7 +124,7 @@ func checkRuns(seed uint64, variant string, pl *gen.Plant, cfgs []runCfg, result
 					res.ExitCode, clip(res.Output), baseline.ExitCode, clip(baseline.Output)))
 			}
 		}
-		class := fmt.Sprintf("%v/%v", rc.scheme.Kind.Temporal(), rc.mode)
+		class := fmt.Sprintf("%v/%v", rc.scheme.Temporal(), rc.mode)
 		if j, ok := classes[class]; ok {
 			peer, prc := results[j], cfgs[j]
 			if res.ExitCode != peer.ExitCode || res.Output != peer.Output ||

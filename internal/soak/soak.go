@@ -137,21 +137,23 @@ type Report struct {
 	WallNanos      int64        `json:"wall_nanos"`
 }
 
-// runCfg is one point of the execution matrix. A nil scheme is the
-// unchecked baseline (mode "none").
+// runCfg is one point of the execution matrix. Mode "none" is the
+// unchecked baseline, whose scheme is the driver default and unused.
 type runCfg struct {
-	scheme *meta.Scheme
+	scheme meta.Kind
 	mode   driver.Mode
 	interp vm.InterpKind
 }
 
+func (rc runCfg) checked() bool { return rc.mode != driver.ModeNone }
+
 // configName matches the BENCH.json vocabulary: "baseline" or
 // "<scheme>-<mode>".
 func (rc runCfg) configName() string {
-	if rc.scheme == nil {
+	if !rc.checked() {
 		return "baseline"
 	}
-	return rc.scheme.Name + "-" + rc.mode.String()
+	return rc.scheme.String() + "-" + rc.mode.String()
 }
 
 func (rc runCfg) String() string {
@@ -162,18 +164,18 @@ func (rc runCfg) String() string {
 // engine comes first because it is the agreement checks' witness.
 var engines = []vm.InterpKind{vm.InterpFast, vm.InterpRef}
 
-// matrix enumerates baseline × engines plus every registered scheme ×
-// checked mode × engine.
+// matrix enumerates baseline × engines plus every scheme × checked mode
+// × engine.
 func matrix() []runCfg {
-	schemes := meta.Schemes()
+	schemes := meta.Kinds()
 	out := make([]runCfg, 0, len(engines)*(1+2*len(schemes)))
 	for _, eng := range engines {
-		out = append(out, runCfg{mode: driver.ModeNone, interp: eng})
+		out = append(out, runCfg{scheme: meta.KindShadowSpace, mode: driver.ModeNone, interp: eng})
 	}
-	for i := range schemes {
+	for _, k := range schemes {
 		for _, mode := range []driver.Mode{driver.ModeStoreOnly, driver.ModeFull} {
 			for _, eng := range engines {
-				out = append(out, runCfg{scheme: &schemes[i], mode: mode, interp: eng})
+				out = append(out, runCfg{scheme: k, mode: mode, interp: eng})
 			}
 		}
 	}
@@ -195,17 +197,14 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	start := time.Now()
 
-	schemes := meta.Schemes()
 	rep := &Report{
 		Schema:        1,
 		Seed:          cfg.Seed,
 		Cells:         cfg.Cells,
 		Modes:         []string{driver.ModeStoreOnly.String(), driver.ModeFull.String()},
+		Schemes:       meta.KindNames(),
 		Engines:       []string{vm.InterpFast.String(), vm.InterpRef.String()},
 		TrapHistogram: map[string]int{},
-	}
-	for _, s := range schemes {
-		rep.Schemes = append(rep.Schemes, s.Name)
 	}
 
 	s := &soaker{cfg: cfg, rep: rep, spool: spooler{dir: cfg.SpoolDir}}
@@ -392,15 +391,10 @@ func (s *soaker) battery(ctx context.Context, prog *gen.Program, pl *gen.Plant) 
 	var divs []Divergence
 	runs := 0
 	for i, rc := range cfgs {
-		key := modKey{mode: rc.mode}
-		kind := meta.KindShadowSpace
-		if rc.scheme != nil {
-			key.temporal = rc.scheme.Kind.Temporal()
-			kind = rc.scheme.Kind
-		}
+		key := modKey{mode: rc.mode, temporal: rc.scheme.Temporal()}
 		m, ok := mods[key]
 		if !ok {
-			m = compileVariant(src, rc.mode, kind)
+			m = compileVariant(src, rc.mode, rc.scheme)
 			mods[key] = m
 			if m.err != nil {
 				divs = append(divs, Divergence{
@@ -451,10 +445,6 @@ func (s *soaker) runContained(ctx context.Context, m *compiled, rc runCfg) (res 
 	cfg.Timeout = s.cfg.Timeout
 	cfg.StepLimit = s.cfg.StepLimit
 	cfg.Interp = rc.interp
-	if rc.scheme != nil {
-		cfg.Meta = rc.scheme.Kind
-		sch := rc.scheme
-		cfg.MetaFacility = func() (meta.Facility, error) { return sch.New(), nil }
-	}
+	cfg.Meta = rc.scheme
 	return driver.ExecuteContext(ctx, m.mod, cfg)
 }

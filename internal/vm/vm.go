@@ -68,7 +68,7 @@ func (k InterpKind) String() string {
 // Config parameterizes a VM run.
 type Config struct {
 	Mode      CheckMode
-	Meta      meta.Facility // nil selects a shadow space
+	Meta      meta.Facility // nil selects a shadow space, temporal if Temporal is
 	Checker   Checker       // optional baseline checker
 	Stdout    io.Writer     // nil discards output
 	StepLimit uint64        // max executed instructions (0 = default 4e9)
@@ -105,7 +105,10 @@ type Config struct {
 	// checked dereferences verify the key against the lock table before
 	// the spatial compare. The driver sets it iff the selected metadata
 	// scheme is a -cets kind, matching the core lowering's
-	// Options.Temporal.
+	// Options.Temporal. It must agree with Meta's Kind().Temporal():
+	// a temporal VM over a spatial facility would read every key as
+	// zero, and a spatial one would never check the keys it stores, so
+	// New rejects the mismatch.
 	Temporal bool
 
 	// Interp selects the execution engine: InterpFast (the default) or
@@ -337,7 +340,10 @@ func New(mod *ir.Module, cfg Config) (*VM, error) {
 	}
 	fac := cfg.Meta
 	if fac == nil {
-		fac = meta.NewShadowSpace(false)
+		fac = meta.NewShadowSpace(cfg.Temporal)
+	}
+	if fac.Kind().Temporal() != cfg.Temporal {
+		return nil, fmt.Errorf("vm: Temporal is %v but the metadata facility is %v", cfg.Temporal, fac.Kind())
 	}
 	v := &VM{
 		mod:         mod,

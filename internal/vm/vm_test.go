@@ -5,7 +5,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"softbound/internal/faults"
 	"softbound/internal/ir"
+	"softbound/internal/meta"
 )
 
 // ----------------------------------------------------------------- memory
@@ -209,6 +211,40 @@ func TestRunTrivialMain(t *testing.T) {
 	}
 	if code != 42 {
 		t.Fatalf("exit = %d", code)
+	}
+}
+
+// TestNewRejectsTemporalMismatch: the VM's temporal switch and its
+// metadata facility cannot disagree in either direction, also when the
+// facility is wrapped by the cost model or the fault injector; a nil
+// facility is built to match the switch.
+func TestNewRejectsTemporalMismatch(t *testing.T) {
+	f := &ir.Func{Name: "main", HasRet: true, RetClass: ir.ClassInt}
+	f.Blocks = []*ir.Block{{Insts: []ir.Inst{{Kind: ir.KRet, HasVal: true, A: ir.CI(0)}}}}
+	mod := buildModule(f)
+	drop := faults.NewInjector(faults.Plan{Seed: 1, DropEvery: 3})
+	for _, temporal := range []bool{false, true} {
+		other := !temporal
+		for name, fac := range map[string]meta.Facility{
+			"shadow":  meta.NewShadowSpace(other),
+			"hash":    meta.MustHashTable(16, other),
+			"costed":  meta.Costed(meta.NewShadowSpace(other), meta.Costs{Lookup: 14, Update: 14}),
+			"faulted": drop.WrapFacility(meta.MustHashTable(16, other)),
+		} {
+			if _, err := New(mod, Config{Meta: fac, Temporal: temporal}); err == nil {
+				t.Errorf("Temporal=%v over a %s facility built temporal=%v: New accepted it", temporal, name, other)
+			}
+		}
+		if _, err := New(mod, Config{Meta: meta.NewShadowSpace(temporal), Temporal: temporal}); err != nil {
+			t.Errorf("Temporal=%v over a matching facility: %v", temporal, err)
+		}
+		v, err := New(mod, Config{Temporal: temporal})
+		if err != nil {
+			t.Fatalf("Temporal=%v with the default facility: %v", temporal, err)
+		}
+		if want := meta.NewShadowSpace(temporal).Costs(); v.fac.Costs() != want {
+			t.Errorf("Temporal=%v: default facility costs %+v, want %+v", temporal, v.fac.Costs(), want)
+		}
 	}
 }
 
