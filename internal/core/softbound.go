@@ -102,9 +102,12 @@ func Transform(m *ir.Module, sizes GlobalSizer, opts Options) {
 		}
 		return 0, false
 	}
+	// One rewrite buffer serves the whole module; each block keeps an
+	// exact-size copy of what its rewrite emitted.
+	var scratch []ir.Inst
 	for _, f := range m.Funcs {
 		if !f.Transformed {
-			transformFunc(f, resolver, opts)
+			scratch = transformFunc(f, resolver, opts, scratch)
 		}
 	}
 }
@@ -130,7 +133,9 @@ type xform struct {
 	out []ir.Inst
 }
 
-func transformFunc(f *ir.Func, sizes GlobalSizer, opts Options) {
+// transformFunc instruments f, rewriting each block into scratch, and
+// returns scratch, possibly grown, for the next function.
+func transformFunc(f *ir.Func, sizes GlobalSizer, opts Options, scratch []ir.Inst) []ir.Inst {
 	x := &xform{
 		f:          f,
 		opts:       opts,
@@ -138,6 +143,7 @@ func transformFunc(f *ir.Func, sizes GlobalSizer, opts Options) {
 		base:       make(map[ir.Reg]ir.Reg),
 		bound:      make(map[ir.Reg]ir.Reg),
 		allocaRegs: make(map[int64]ir.Reg),
+		out:        scratch,
 	}
 	if opts.Temporal {
 		x.key = make(map[ir.Reg]ir.Reg)
@@ -205,6 +211,7 @@ func transformFunc(f *ir.Func, sizes GlobalSizer, opts Options) {
 		}
 		b.Insts = append([]ir.Inst(nil), x.out...)
 	}
+	return x.out
 }
 
 // ensure returns the shadow base/bound registers for a pointer register.

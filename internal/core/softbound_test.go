@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"softbound/internal/cparser"
 	"softbound/internal/ir"
@@ -256,5 +257,46 @@ func TestTransformIsIdempotent(t *testing.T) {
 	after := mod.Lookup("deref").String()
 	if before != after {
 		t.Fatal("double transformation changed the function")
+	}
+}
+
+// Transform rewrites every block through one module-wide buffer; each
+// block must still end up with an array of its own, or an in-place pass
+// over one block would rewrite another.
+func TestTransformBlocksOwnTheirArrays(t *testing.T) {
+	mod := lower(t, ptrProg+`
+int sum(int* a, int n) {
+	int s = 0;
+	for (int i = 0; i < n; i++) {
+		if (a[i] > 0) s += a[i]; else s -= a[i];
+	}
+	return s;
+}
+`)
+	Transform(mod, nil, DefaultOptions(ModeFull))
+	type span struct {
+		lo, hi uintptr
+		where  string
+	}
+	var spans []span
+	size := unsafe.Sizeof(ir.Inst{})
+	for _, f := range mod.Funcs {
+		for _, b := range f.Blocks {
+			if cap(b.Insts) == 0 {
+				continue
+			}
+			lo := uintptr(unsafe.Pointer(unsafe.SliceData(b.Insts)))
+			spans = append(spans, span{lo, lo + uintptr(cap(b.Insts))*size, f.Name + "/" + b.Name})
+		}
+	}
+	if len(spans) < 8 {
+		t.Fatalf("only %d blocks to compare", len(spans))
+	}
+	for i := range spans {
+		for j := i + 1; j < len(spans); j++ {
+			if spans[i].lo < spans[j].hi && spans[j].lo < spans[i].hi {
+				t.Fatalf("blocks %s and %s share a backing array", spans[i].where, spans[j].where)
+			}
+		}
 	}
 }

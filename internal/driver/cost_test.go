@@ -3,6 +3,8 @@ package driver
 import (
 	"runtime"
 	"testing"
+
+	"softbound/internal/gen"
 )
 
 // The fixed cost of one request: compile and execute the smallest
@@ -40,5 +42,67 @@ func TestTrivialRunAllocationBound(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > maxTrivialRunBytes {
 		t.Fatalf("trivial compile+execute allocates %d bytes per run, bound %d", per, maxTrivialRunBytes)
+	}
+}
+
+// The allocation of one compile: generated cells compiled against a warm
+// libc unit, under every configuration of libcConfigs.
+
+// compileCells are the generated programs BenchmarkCompile compiles;
+// the first is TestCompileAllocationBound's fixed program.
+func compileCells() [][]Source {
+	var cells [][]Source
+	for seed := uint64(1); seed <= 3; seed++ {
+		cells = append(cells, []Source{{Name: "main.c", Text: gen.Generate(seed).Source()}})
+	}
+	return cells
+}
+
+func compileCell(tb testing.TB, src []Source, cfg Config) {
+	if _, err := Compile(src, cfg); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+func BenchmarkCompile(b *testing.B) {
+	cells := compileCells()
+	names, cfgs := sortedLibcConfigs()
+	for i, name := range names {
+		cfg := cfgs[i]
+		b.Run(name, func(b *testing.B) {
+			compileCell(b, cells[0], cfg) // builds the cached libc unit
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				for _, src := range cells {
+					compileCell(b, src, cfg)
+				}
+			}
+		})
+	}
+}
+
+// maxCompileBytes bounds the bytes one compile of gen cell 1 may
+// allocate under any configuration, libc warm: 0.7–1.7 MB today. Passes
+// that copy every instruction they keep take the instrumented, optimized
+// configurations to 2–3.6 MB.
+const maxCompileBytes = 2 << 20
+
+func TestCompileAllocationBound(t *testing.T) {
+	src := compileCells()[0]
+	names, cfgs := sortedLibcConfigs()
+	for i, name := range names {
+		cfg := cfgs[i]
+		compileCell(t, src, cfg) // builds the cached libc unit
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for n := 0; n < runs; n++ {
+			compileCell(t, src, cfg)
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > maxCompileBytes {
+			t.Errorf("%s: one compile allocates %d bytes, bound %d", name, per, maxCompileBytes)
+		}
 	}
 }

@@ -137,6 +137,19 @@ func libcConfigs() map[string]Config {
 	return cfgs
 }
 
+// sortedLibcConfigs returns libcConfigs as parallel slices in name order.
+func sortedLibcConfigs() (names []string, cfgs []Config) {
+	all := libcConfigs()
+	for name := range all {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		cfgs = append(cfgs, all[name])
+	}
+	return names, cfgs
+}
+
 func TestLibcCacheMatchesPerRequestCompile(t *testing.T) {
 	cfgs := libcConfigs()
 	for _, p := range libcCorpus() {
@@ -177,16 +190,7 @@ func TestLibcCacheSharedReadOnly(t *testing.T) {
 			cells = append(cells, p)
 		}
 	}
-	var names []string
-	all := libcConfigs()
-	for name := range all {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var cfgs []Config
-	for _, name := range names {
-		cfgs = append(cfgs, all[name])
-	}
+	_, cfgs := sortedLibcConfigs()
 	const workers = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)

@@ -245,3 +245,41 @@ func TestRegistry(t *testing.T) {
 		t.Errorf("ParseKinds(\"\") = %v, %v", parsed, err)
 	}
 }
+
+// The paper's shift-and-mask hash (§5.1) lays contiguous pointer slots
+// out as one linear-probe run, so a copy into a destination that aliases
+// the run walks all of it for every slot. The exact probe counts of the
+// BenchmarkMetaHashTable workload are pinned here, so that a change to
+// the hash, the probing or the table size shows up as a count rather
+// than as wall time.
+func TestHashTableProbesPinned(t *testing.T) {
+	const (
+		entries   = 1 << 16
+		filled    = 4096
+		copySlots = 64
+	)
+	h := MustHashTable(entries, false)
+	for i := uint64(0); i < filled; i++ {
+		a := i * 8
+		h.Update(a, Entry{Base: a, Bound: a + 64})
+	}
+	// Each fill lands in its own empty entry: one probe apiece.
+	if h.Probes != filled {
+		t.Fatalf("sequential fill of %d slots: %d probes, want %d", filled, h.Probes, filled)
+	}
+	// 1<<20 is 0 modulo the table's 1<<16 double words: destination slot
+	// k hashes onto source slot k. Each copied slot costs one probe to
+	// read its source and filled+1 to walk past the run to its
+	// destination entry.
+	start := h.Probes
+	h.CopyRange(1<<20, 0, copySlots*8)
+	const want = copySlots * (1 + filled + 1) // 262272
+	if got := h.Probes - start; got != want {
+		t.Fatalf("aliasing %d-slot CopyRange: %d probes, want %d", copySlots, got, want)
+	}
+	for k := uint64(0); k < copySlots; k++ {
+		if e := h.Lookup(1<<20 + k*8); e.Base != k*8 {
+			t.Fatalf("slot %d: copied entry %+v", k, e)
+		}
+	}
+}

@@ -137,17 +137,20 @@ func EliminateRedundantChecksGlobal(f *ir.Func) int {
 			s = make(availState)
 		}
 		blk := f.Blocks[b]
-		out := blk.Insts[:0]
+		n := 0
 		for i := range blk.Insts {
-			in := blk.Insts[i]
-			if in.Kind == ir.KCheck && s[keyOf(&in)] {
+			in := &blk.Insts[i]
+			if in.Kind == ir.KCheck && s[keyOf(in)] {
 				removed++
 				continue
 			}
-			s = transferCheck(s, &in)
-			out = append(out, in)
+			s = transferCheck(s, in)
+			if n != i {
+				blk.Insts[n] = *in
+			}
+			n++
 		}
-		blk.Insts = out
+		blk.Insts = blk.Insts[:n]
 	}
 	return removed
 }

@@ -343,18 +343,22 @@ func deadCodeElim(f *ir.Func, removeMetaLoads bool) (removed, removedMetaLoads i
 		return true
 	}
 	for _, b := range f.Blocks {
-		out := b.Insts[:0]
+		n := 0
 		for i := range b.Insts {
-			in := b.Insts[i]
-			if keepDst(&in) {
-				out = append(out, in)
-			} else if in.Kind == ir.KMetaLoad {
+			in := &b.Insts[i]
+			switch {
+			case keepDst(in):
+				if n != i {
+					b.Insts[n] = *in
+				}
+				n++
+			case in.Kind == ir.KMetaLoad:
 				removedMetaLoads++
-			} else {
+			default:
 				removed++
 			}
 		}
-		b.Insts = out
+		b.Insts = b.Insts[:n]
 	}
 	return removed, removedMetaLoads
 }
@@ -396,49 +400,50 @@ func EliminateRedundantChecks(f *ir.Func) int {
 	removed := 0
 	for _, blk := range f.Blocks {
 		seen := make(map[checkKey]bool)
-		out := blk.Insts[:0]
+		n := 0
 		for i := range blk.Insts {
-			in := blk.Insts[i]
-			if in.Kind == ir.KCheck {
-				k := keyOf(&in)
+			in := &blk.Insts[i]
+			switch {
+			case in.Kind == ir.KCheck:
+				k := keyOf(in)
 				if seen[k] {
 					removed++
 					continue
 				}
 				seen[k] = true
-				out = append(out, in)
-				continue
-			}
-			// longjmp resumes after the setjmp call with whatever
-			// register state the longjmp-ing callee left behind, so
-			// nothing can be assumed available past it.
-			if isSetjmpCall(&in) {
+			case isSetjmpCall(in):
+				// longjmp resumes after the setjmp call with whatever
+				// register state the longjmp-ing callee left behind, so
+				// nothing can be assumed available past it.
 				seen = make(map[checkKey]bool)
-				out = append(out, in)
-				continue
-			}
-			// A temporal check's outcome depends on the lock table, which
-			// any call can change (a callee may free or realloc the
-			// allocation): calls kill temporal keys. Spatial keys are
-			// pure functions of their registers and survive.
-			if in.Kind == ir.KCall {
-				for k := range seen {
-					if k.tmeta {
-						delete(seen, k)
+			default:
+				// A temporal check's outcome depends on the lock table,
+				// which any call can change (a callee may free or
+				// realloc the allocation): calls kill temporal keys.
+				// Spatial keys are pure functions of their registers
+				// and survive.
+				if in.Kind == ir.KCall {
+					for k := range seen {
+						if k.tmeta {
+							delete(seen, k)
+						}
 					}
 				}
-			}
-			// Any write to a register invalidates keys mentioning it.
-			writtenRegs(&in, func(dst ir.Reg) {
-				for k := range seen {
-					if k.mentions(dst) {
-						delete(seen, k)
+				// Any write to a register invalidates keys mentioning it.
+				writtenRegs(in, func(dst ir.Reg) {
+					for k := range seen {
+						if k.mentions(dst) {
+							delete(seen, k)
+						}
 					}
-				}
-			})
-			out = append(out, in)
+				})
+			}
+			if n != i {
+				blk.Insts[n] = *in
+			}
+			n++
 		}
-		blk.Insts = out
+		blk.Insts = blk.Insts[:n]
 	}
 	return removed
 }
@@ -508,11 +513,12 @@ func CSEMetaLoads(f *ir.Func) int {
 				}
 			}
 		}
-		// A merged metaload expands to two moves, so the output can be
-		// longer than the input: build into a fresh slice.
-		out := make([]ir.Inst, 0, len(blk.Insts))
+		// A merged metaload expands to two moves, so a block with a merge
+		// grows: it gets a fresh slice at its first merge, holding the
+		// prefix copied so far. A block without one keeps its slice.
+		var out []ir.Inst
 		for i := range blk.Insts {
-			in := blk.Insts[i]
+			in := &blk.Insts[i]
 			switch in.Kind {
 			case ir.KMetaLoad:
 				if in.TMeta {
@@ -524,30 +530,33 @@ func CSEMetaLoads(f *ir.Func) int {
 					evict(in.DstBndR)
 					evict(in.DstKeyR)
 					evict(in.DstLockR)
-					out = append(out, in)
-					continue
+					break
 				}
+				// Order the two moves so neither reads a register the
+				// other just clobbered; when the destinations swap the
+				// cached pair exactly, merging would need a scratch
+				// register — keep the load instead.
 				c, hit := avail[in.A]
 				replaced := false
-				if hit {
-					// Order the two moves so neither reads a register
-					// the other just clobbered; when the destinations
-					// swap the cached pair exactly, merging would need
-					// a scratch register — keep the load instead.
-					switch {
-					case in.DstBaseR == c.bound && in.DstBndR == c.base && c.base != c.bound:
-						// unmergeable swap
-					case in.DstBaseR == c.bound:
-						out = append(out,
-							ir.Inst{Kind: ir.KMov, Dst: in.DstBndR, A: ir.R(c.bound)},
-							ir.Inst{Kind: ir.KMov, Dst: in.DstBaseR, A: ir.R(c.base)})
-						replaced = true
-					default:
-						out = append(out,
-							ir.Inst{Kind: ir.KMov, Dst: in.DstBaseR, A: ir.R(c.base)},
-							ir.Inst{Kind: ir.KMov, Dst: in.DstBndR, A: ir.R(c.bound)})
-						replaced = true
+				var dst1, src1, dst2, src2 ir.Reg
+				switch {
+				case !hit:
+				case in.DstBaseR == c.bound && in.DstBndR == c.base && c.base != c.bound:
+					// unmergeable swap
+				case in.DstBaseR == c.bound:
+					dst1, src1, dst2, src2 = in.DstBndR, c.bound, in.DstBaseR, c.base
+					replaced = true
+				default:
+					dst1, src1, dst2, src2 = in.DstBaseR, c.base, in.DstBndR, c.bound
+					replaced = true
+				}
+				if replaced {
+					if out == nil {
+						out = growFrom(blk.Insts, i)
 					}
+					out = append(out,
+						ir.Inst{Kind: ir.KMov, Dst: dst1, A: ir.R(src1)},
+						ir.Inst{Kind: ir.KMov, Dst: dst2, A: ir.R(src2)})
 				}
 				// Whether merged or not, DstBaseR/DstBndR were just
 				// (re)defined: evict any entry reading them, then cache
@@ -565,11 +574,30 @@ func CSEMetaLoads(f *ir.Func) int {
 			case ir.KMetaStore, ir.KMetaClear, ir.KCall:
 				avail = make(map[ir.Value]cached)
 			default:
-				writtenRegs(&in, evict)
+				writtenRegs(in, evict)
 			}
-			out = append(out, in)
+			if out != nil {
+				out = append(out, *in)
+			}
 		}
-		blk.Insts = out
+		if out != nil {
+			blk.Insts = out
+		}
 	}
 	return merged
+}
+
+// growFrom returns a fresh slice holding insts[:i], with room for the
+// rest of insts plus one more instruction per metadata load left in it
+// (each merge turns one load into two moves).
+func growFrom(insts []ir.Inst, i int) []ir.Inst {
+	room := len(insts)
+	for j := i; j < len(insts); j++ {
+		if insts[j].Kind == ir.KMetaLoad {
+			room++
+		}
+	}
+	out := make([]ir.Inst, i, room)
+	copy(out, insts[:i])
+	return out
 }

@@ -176,3 +176,37 @@ func TestCSEMetaLoads(t *testing.T) {
 		t.Fatalf("merged %d across a metastore", n)
 	}
 }
+
+// CSEMetaLoads gives a block a new slice only when it merges a load: a
+// block without a merge keeps its backing array.
+func TestCSEMetaLoadsKeepsUnmergedBlockArray(t *testing.T) {
+	f := &ir.Func{Name: "t"}
+	for i := 0; i < 6; i++ {
+		f.NewReg(ir.ClassPtr)
+	}
+	merges := []ir.Inst{
+		{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 1, DstBndR: 2},
+		{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 3, DstBndR: 4},
+		{Kind: ir.KBr, Target: 1},
+	}
+	keeps := []ir.Inst{
+		{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 1, DstBndR: 2},
+		{Kind: ir.KMetaStore, A: ir.R(5), SrcBase: ir.R(1), SrcBound: ir.R(2)},
+		{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 3, DstBndR: 4},
+		{Kind: ir.KRet},
+	}
+	f.Blocks = []*ir.Block{{Insts: merges}, {Insts: keeps}}
+	if n := CSEMetaLoads(f); n != 1 {
+		t.Fatalf("merged %d, want 1", n)
+	}
+	if got := f.Blocks[0].Insts; len(got) != 4 || got[1].Kind != ir.KMov || got[2].Kind != ir.KMov || got[3].Kind != ir.KBr {
+		t.Fatalf("merged block: %v", f.Blocks[0].Insts)
+	}
+	if merges[1].Kind != ir.KMetaLoad {
+		t.Fatal("the merge wrote through the block's old array")
+	}
+	got := f.Blocks[1].Insts
+	if len(got) != len(keeps) || cap(got) != cap(keeps) || &got[0] != &keeps[0] {
+		t.Fatal("a block without a merge was given a new array")
+	}
+}

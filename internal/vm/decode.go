@@ -225,10 +225,24 @@ func isTerminator(k ir.InstKind) bool {
 	return false
 }
 
+// fallsOff reports whether control can run past a block's last
+// instruction: the block is empty or does not end in a terminator.
+func fallsOff(insts []ir.Inst) bool {
+	return len(insts) == 0 || !isTerminator(insts[len(insts)-1].Kind)
+}
+
 func (dec *decoder) decodeFunc(fn *ir.Func, df *dfunc) {
 	dec.cur = fn
 	df.blockStart = make([]int32, len(fn.Blocks))
-	var code []dinst
+	// Room for every instruction unfused plus each fell-off sentinel.
+	n := 0
+	for _, blk := range fn.Blocks {
+		n += len(blk.Insts)
+		if fallsOff(blk.Insts) {
+			n++
+		}
+	}
+	code := make([]dinst, 0, n)
 	for bi, blk := range fn.Blocks {
 		df.blockStart[bi] = int32(len(code))
 		insts := blk.Insts
@@ -263,7 +277,7 @@ func (dec *decoder) decodeFunc(fn *ir.Func, df *dfunc) {
 
 			code = append(code, dec.decodeInst(in, bi, i))
 		}
-		if len(insts) == 0 || !isTerminator(insts[len(insts)-1].Kind) {
+		if fallsOff(insts) {
 			// The reference engine reports "fell off block" when ip runs
 			// past the last instruction; a sentinel keeps the decoded
 			// stream from sliding into the next block.
