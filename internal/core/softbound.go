@@ -118,13 +118,13 @@ type xform struct {
 	opts  Options
 	sizes GlobalSizer
 
-	// base/bound shadow registers for each pointer register.
-	base  map[ir.Reg]ir.Reg
-	bound map[ir.Reg]ir.Reg
+	// words is the width of every metadata tuple: 2 (base, bound), or 4
+	// (base, bound, key, lock) under temporal lowering.
+	words int
 
-	// key/lock shadow registers (temporal lowering only).
-	key  map[ir.Reg]ir.Reg
-	lock map[ir.Reg]ir.Reg
+	// meta holds each pointer register's shadow registers, one per
+	// metadata word.
+	meta map[ir.Reg][4]ir.Reg
 
 	// allocaRegs maps frame offsets to the register holding the slot
 	// address (for epilogue metadata clearing).
@@ -140,14 +140,13 @@ func transformFunc(f *ir.Func, sizes GlobalSizer, opts Options, scratch []ir.Ins
 		f:          f,
 		opts:       opts,
 		sizes:      sizes,
-		base:       make(map[ir.Reg]ir.Reg),
-		bound:      make(map[ir.Reg]ir.Reg),
+		words:      2,
+		meta:       make(map[ir.Reg][4]ir.Reg),
 		allocaRegs: make(map[int64]ir.Reg),
 		out:        scratch,
 	}
 	if opts.Temporal {
-		x.key = make(map[ir.Reg]ir.Reg)
-		x.lock = make(map[ir.Reg]ir.Reg)
+		x.words = 4
 	}
 
 	// Extend the signature: metadata parameters for pointer parameters
@@ -159,26 +158,11 @@ func transformFunc(f *ir.Func, sizes GlobalSizer, opts Options, scratch []ir.Ins
 		if !f.Params[i].IsPtr {
 			continue
 		}
-		pr := f.ParamRegs[i]
-		br := f.NewReg(ir.ClassPtr)
-		er := f.NewReg(ir.ClassPtr)
-		f.Params = append(f.Params,
-			ir.Param{Name: f.Params[i].Name + ".base", Class: ir.ClassPtr},
-			ir.Param{Name: f.Params[i].Name + ".bound", Class: ir.ClassPtr},
-		)
-		f.ParamRegs = append(f.ParamRegs, br, er)
-		x.base[pr] = br
-		x.bound[pr] = er
-		if opts.Temporal {
-			kr := f.NewReg(ir.ClassInt)
-			lr := f.NewReg(ir.ClassInt)
-			f.Params = append(f.Params,
-				ir.Param{Name: f.Params[i].Name + ".key", Class: ir.ClassInt},
-				ir.Param{Name: f.Params[i].Name + ".lock", Class: ir.ClassInt},
-			)
-			f.ParamRegs = append(f.ParamRegs, kr, lr)
-			x.key[pr] = kr
-			x.lock[pr] = lr
+		m := x.ensure(f.ParamRegs[i], 0, x.words)
+		for w, r := range m[:x.words] {
+			f.Params = append(f.Params, ir.Param{
+				Name: f.Params[i].Name + metaSuffix[w], Class: metaClass(w)})
+			f.ParamRegs = append(f.ParamRegs, r)
 		}
 	}
 	f.Transformed = true
@@ -214,100 +198,88 @@ func transformFunc(f *ir.Func, sizes GlobalSizer, opts Options, scratch []ir.Ins
 	return x.out
 }
 
-// ensure returns the shadow base/bound registers for a pointer register.
-func (x *xform) ensure(r ir.Reg) (ir.Reg, ir.Reg) {
-	b, ok := x.base[r]
-	if !ok {
-		b = x.f.NewReg(ir.ClassPtr)
-		x.base[r] = b
+// metaSuffix names the metadata parameters of a pointer parameter.
+var metaSuffix = [4]string{".base", ".bound", ".key", ".lock"}
+
+// metaClass is the register class of metadata word w: base and bound
+// are addresses, key and lock are integers.
+func metaClass(w int) ir.Class {
+	if w < 2 {
+		return ir.ClassPtr
 	}
-	e, ok := x.bound[r]
-	if !ok {
-		e = x.f.NewReg(ir.ClassPtr)
-		x.bound[r] = e
-	}
-	return b, e
+	return ir.ClassInt
 }
 
-// ensureT returns the shadow key/lock registers for a pointer register
-// (temporal lowering only).
-func (x *xform) ensureT(r ir.Reg) (ir.Reg, ir.Reg) {
-	k, ok := x.key[r]
+// ensure returns the shadow registers of pointer register r, allocating
+// any of words [lo, hi) it lacks. Words are allocated when a rewrite
+// first needs them, so a register's spatial pair and its temporal pair
+// may be numbered apart.
+func (x *xform) ensure(r ir.Reg, lo, hi int) [4]ir.Reg {
+	m, ok := x.meta[r]
 	if !ok {
-		k = x.f.NewReg(ir.ClassInt)
-		x.key[r] = k
+		m = [4]ir.Reg{ir.NoReg, ir.NoReg, ir.NoReg, ir.NoReg}
 	}
-	l, ok := x.lock[r]
-	if !ok {
-		l = x.f.NewReg(ir.ClassInt)
-		x.lock[r] = l
+	grew := !ok
+	for w := lo; w < hi; w++ {
+		if m[w] == ir.NoReg {
+			m[w] = x.f.NewReg(metaClass(w))
+			grew = true
+		}
 	}
-	return k, l
+	if grew {
+		x.meta[r] = m
+	}
+	return m
 }
 
-// metaOf returns base/bound values describing the metadata of a pointer
-// operand (paper §3.1 "creating pointers"):
+// metaOf returns words [lo, hi) of the metadata of a pointer operand
+// (paper §3.1 "creating pointers"); the other words are left zero:
 //
 //   - a register: its shadow registers;
-//   - a global address: [global, global+size) — compile-time constants;
+//   - a global address: [global, global+size) — compile-time constants —
+//     and the never-revoked global lock (key 1, lock 1);
 //   - a function address: base == bound == ptr (the function-pointer
-//     encoding of §5.2);
-//   - an integer constant (e.g. NULL or a cast integer): NULL bounds.
-func (x *xform) metaOf(v ir.Value) (ir.Value, ir.Value) {
+//     encoding of §5.2), and the global lock;
+//   - an integer constant (e.g. NULL or a cast integer): all zero — NULL
+//     bounds and a key that fails the temporal check, fail-closed.
+func (x *xform) metaOf(v ir.Value, lo, hi int) (m [4]ir.Value) {
+	var all [4]ir.Value
 	switch v.Kind {
 	case ir.VReg:
-		b, e := x.ensure(v.Reg)
-		return ir.R(b), ir.R(e)
+		for w, r := range x.ensure(v.Reg, lo, hi) {
+			all[w] = ir.R(r)
+		}
 	case ir.VGlobal:
+		all = [4]ir.Value{ir.CI(0), ir.CI(0), ir.CI(0), ir.CI(0)}
 		if size, ok := x.sizes(v.Sym); ok {
-			return ir.GV(v.Sym, 0), ir.GV(v.Sym, size)
+			all = [4]ir.Value{ir.GV(v.Sym, 0), ir.GV(v.Sym, size), ir.CI(1), ir.CI(1)}
 		}
-		return ir.CI(0), ir.CI(0)
 	case ir.VFunc:
-		return v, v
+		all = [4]ir.Value{v, v, ir.CI(1), ir.CI(1)}
 	default:
-		return ir.CI(0), ir.CI(0)
+		all = [4]ir.Value{ir.CI(0), ir.CI(0), ir.CI(0), ir.CI(0)}
 	}
-}
-
-// metaOfT returns key/lock values describing the temporal metadata of a
-// pointer operand: shadow registers for registers; the never-revoked
-// global lock (key 1, lock 1) for globals and functions; zero — which
-// fails the temporal check, fail-closed — for integer-manufactured
-// pointers. Only meaningful under Options.Temporal.
-func (x *xform) metaOfT(v ir.Value) (ir.Value, ir.Value) {
-	switch v.Kind {
-	case ir.VReg:
-		k, l := x.ensureT(v.Reg)
-		return ir.R(k), ir.R(l)
-	case ir.VGlobal:
-		if _, ok := x.sizes(v.Sym); ok {
-			return ir.CI(1), ir.CI(1)
-		}
-		return ir.CI(0), ir.CI(0)
-	case ir.VFunc:
-		return ir.CI(1), ir.CI(1)
-	default:
-		return ir.CI(0), ir.CI(0)
-	}
+	copy(m[lo:hi], all[lo:hi])
+	return m
 }
 
 func (x *xform) emit(in ir.Inst) { x.out = append(x.out, in) }
 
-// setMeta emits assignments of the shadow registers for dst; under
-// temporal lowering the key/lock companions are assigned from the same
-// source operand's temporal metadata.
-func (x *xform) setMeta(dst ir.Reg, base, bound ir.Value) {
-	b, e := x.ensure(dst)
-	x.emit(ir.Inst{Kind: ir.KMov, Dst: b, A: base})
-	x.emit(ir.Inst{Kind: ir.KMov, Dst: e, A: bound})
+// setMeta emits assignments of words [lo, hi) of dst's shadow registers
+// from m.
+func (x *xform) setMeta(dst ir.Reg, m [4]ir.Value, lo, hi int) {
+	d := x.ensure(dst, lo, hi)
+	for w := lo; w < hi; w++ {
+		x.emit(ir.Inst{Kind: ir.KMov, Dst: d[w], A: m[w]})
+	}
 }
 
-// setMetaT emits assignments of the temporal shadow registers for dst.
-func (x *xform) setMetaT(dst ir.Reg, key, lock ir.Value) {
-	k, l := x.ensureT(dst)
-	x.emit(ir.Inst{Kind: ir.KMov, Dst: k, A: key})
-	x.emit(ir.Inst{Kind: ir.KMov, Dst: l, A: lock})
+// copyMeta gives dst the metadata of v: the spatial pair first, then
+// the temporal pair, which is the order the registers are numbered in.
+func (x *xform) copyMeta(dst ir.Reg, v ir.Value) {
+	for lo := 0; lo < x.words; lo += 2 {
+		x.setMeta(dst, x.metaOf(v, lo, lo+2), lo, lo+2)
+	}
 }
 
 // isPtrReg reports whether r holds pointers.
@@ -316,35 +288,29 @@ func (x *xform) isPtrReg(r ir.Reg) bool {
 }
 
 // emitCheck inserts a spatial dereference check for an access of size
-// bytes through addr (paper §3.1 check()). Accesses through compile-time
-// global addresses are checked *statically*: an in-bounds constant access
-// carries no runtime check (matching the paper's treatment of scalar
-// locals and globals), while a constant out-of-bounds access gets a check
-// that is guaranteed to fire.
+// bytes through addr (paper §3.1 check()); under temporal lowering it
+// also carries the key/lock operands, verified BEFORE the spatial
+// compare, so a revoked allocation traps as temporal-violation even when
+// the stale bounds still bracket the access. Accesses through
+// compile-time global addresses are checked *statically*: an in-bounds
+// constant access carries no runtime check (matching the paper's
+// treatment of scalar locals and globals), while a constant
+// out-of-bounds access gets a check that is guaranteed to fire.
 func (x *xform) emitCheck(addr ir.Value, size int64, kind ir.CheckKind) {
 	if x.opts.Mode == ModeStoreOnly && kind == ir.CheckLoad {
 		return
 	}
 	switch addr.Kind {
 	case ir.VReg:
-		b, e := x.metaOf(addr)
-		chk := ir.Inst{Kind: ir.KCheck, A: addr, Base: b, Bound: e,
-			AccessSize: size, CheckK: kind}
-		if x.opts.Temporal {
-			// The lock-and-key check runs BEFORE the spatial compare: a
-			// revoked allocation traps as temporal-violation even when
-			// the stale bounds still bracket the access.
-			chk.TMeta = true
-			chk.Key, chk.Lock = x.metaOfT(addr)
-		}
-		x.emit(chk)
+		x.emit(ir.Inst{Kind: ir.KCheck, A: addr, Meta: x.metaOf(addr, 0, x.words),
+			TMeta: x.opts.Temporal, AccessSize: size, CheckK: kind})
 	case ir.VGlobal:
 		objSize, ok := x.sizes(addr.Sym)
 		if ok && addr.Off >= 0 && addr.Off+size <= objSize {
 			return // statically in bounds
 		}
 		x.emit(ir.Inst{Kind: ir.KCheck, A: addr,
-			Base: ir.GV(addr.Sym, 0), Bound: ir.GV(addr.Sym, objSize),
+			Meta:       [4]ir.Value{ir.GV(addr.Sym, 0), ir.GV(addr.Sym, objSize)},
 			AccessSize: size, CheckK: kind})
 	}
 }
@@ -355,12 +321,7 @@ func (x *xform) rewrite(in *ir.Inst) {
 	case ir.KConst, ir.KMov:
 		x.emit(*in)
 		if x.isPtrReg(in.Dst) {
-			b, e := x.metaOf(in.A)
-			x.setMeta(in.Dst, b, e)
-			if x.opts.Temporal {
-				k, l := x.metaOfT(in.A)
-				x.setMetaT(in.Dst, k, l)
-			}
+			x.copyMeta(in.Dst, in.A)
 		}
 
 	case ir.KConv:
@@ -368,23 +329,20 @@ func (x *xform) rewrite(in *ir.Inst) {
 		if in.Mem == ir.MemPtr && x.isPtrReg(in.Dst) {
 			// Pointer manufactured from an integer: NULL bounds
 			// (safe default, paper §5.2). setbound() can widen later.
-			x.setMeta(in.Dst, ir.CI(0), ir.CI(0))
-			if x.opts.Temporal {
-				x.setMetaT(in.Dst, ir.CI(0), ir.CI(0))
-			}
+			x.copyMeta(in.Dst, ir.CI(0))
 		}
 
 	case ir.KAlloca:
 		x.emit(*in)
 		// base = ptr; bound = ptr + size (paper §3.1).
-		b, e := x.ensure(in.Dst)
-		x.emit(ir.Inst{Kind: ir.KMov, Dst: b, A: ir.R(in.Dst)})
-		x.emit(ir.Inst{Kind: ir.KGEP, Dst: e, A: ir.R(in.Dst), B: ir.CI(0),
+		d := x.ensure(in.Dst, 0, 2)
+		x.emit(ir.Inst{Kind: ir.KMov, Dst: d[0], A: ir.R(in.Dst)})
+		x.emit(ir.Inst{Kind: ir.KGEP, Dst: d[1], A: ir.R(in.Dst), B: ir.CI(0),
 			Size: 1, C: ir.CI(in.Size)})
 		if x.opts.Temporal {
 			// Stack storage dies with the frame: the slot's temporal
 			// identity is the frame lock the VM issued on entry.
-			x.setMetaT(in.Dst, ir.R(x.f.FrameKeyReg), ir.R(x.f.FrameLockReg))
+			x.setMeta(in.Dst, [4]ir.Value{2: ir.R(x.f.FrameKeyReg), 3: ir.R(x.f.FrameLockReg)}, 2, 4)
 		}
 
 	case ir.KGEP:
@@ -402,8 +360,10 @@ func (x *xform) rewrite(in *ir.Inst) {
 			// divergence the fault-injection suite exists to catch.
 			// Branch-free select: max(sb,d) = d + (sb>d)*(sb-d), and
 			// symmetrically min(se,fe) = fe + (se<fe)*(se-fe).
-			sb, se := x.metaOf(in.A)
-			b, e := x.ensure(in.Dst)
+			src := x.metaOf(in.A, 0, 2)
+			sb, se := src[0], src[1]
+			dm := x.ensure(in.Dst, 0, 2)
+			b, e := dm[0], dm[1]
 			d := ir.R(in.Dst)
 			fe := x.f.NewReg(ir.ClassPtr)
 			x.emit(ir.Inst{Kind: ir.KGEP, Dst: fe, A: d,
@@ -425,24 +385,18 @@ func (x *xform) rewrite(in *ir.Inst) {
 			if x.opts.Temporal {
 				// Narrowing is spatial-only; the field keeps the
 				// allocation's temporal identity unchanged.
-				k, l := x.metaOfT(in.A)
-				x.setMetaT(in.Dst, k, l)
+				x.setMeta(in.Dst, x.metaOf(in.A, 2, 4), 2, 4)
 			}
 			break
 		}
-		// Pointer arithmetic: result inherits the source bounds; no
+		// Pointer arithmetic: result inherits the source metadata; no
 		// check happens until dereference (§3.1).
-		b, e := x.metaOf(in.A)
-		x.setMeta(in.Dst, b, e)
-		if x.opts.Temporal {
-			k, l := x.metaOfT(in.A)
-			x.setMetaT(in.Dst, k, l)
-		}
+		x.copyMeta(in.Dst, in.A)
 		if x.opts.CheckArith && x.opts.Mode == ModeFull {
 			// Ablation: arithmetic-time check, permitting only
 			// [base, bound] (one-past-the-end allowed, size 0).
-			x.emit(ir.Inst{Kind: ir.KCheck, A: ir.R(in.Dst), Base: b,
-				Bound: e, AccessSize: 0, CheckK: ir.CheckLoad})
+			x.emit(ir.Inst{Kind: ir.KCheck, A: ir.R(in.Dst), Meta: x.metaOf(in.A, 0, 2),
+				AccessSize: 0, CheckK: ir.CheckLoad})
 		}
 
 	case ir.KLoad:
@@ -451,13 +405,8 @@ func (x *xform) rewrite(in *ir.Inst) {
 		if in.Mem == ir.MemPtr && x.isPtrReg(in.Dst) {
 			// Loading a pointer pulls its metadata from the disjoint
 			// table (paper §3.2).
-			b, e := x.ensure(in.Dst)
-			ml := ir.Inst{Kind: ir.KMetaLoad, A: in.A, DstBaseR: b, DstBndR: e}
-			if x.opts.Temporal {
-				ml.TMeta = true
-				ml.DstKeyR, ml.DstLockR = x.ensureT(in.Dst)
-			}
-			x.emit(ml)
+			x.emit(ir.Inst{Kind: ir.KMetaLoad, A: in.A,
+				MetaDst: x.ensure(in.Dst, 0, x.words), TMeta: x.opts.Temporal})
 		}
 
 	case ir.KStore:
@@ -465,13 +414,8 @@ func (x *xform) rewrite(in *ir.Inst) {
 		x.emit(*in)
 		if in.Mem == ir.MemPtr {
 			// Storing a pointer records its metadata (paper §3.2).
-			b, e := x.metaOf(in.B)
-			ms := ir.Inst{Kind: ir.KMetaStore, A: in.A, SrcBase: b, SrcBound: e}
-			if x.opts.Temporal {
-				ms.TMeta = true
-				ms.SrcKey, ms.SrcLock = x.metaOfT(in.B)
-			}
-			x.emit(ms)
+			x.emit(ir.Inst{Kind: ir.KMetaStore, A: in.A,
+				Meta: x.metaOf(in.B, 0, x.words), TMeta: x.opts.Temporal})
 		}
 
 	case ir.KCall:
@@ -483,20 +427,15 @@ func (x *xform) rewrite(in *ir.Inst) {
 			// metadata of pointer-bearing stack slots before return.
 			for _, slot := range x.f.ClearSlots {
 				if r, ok := x.allocaRegs[slot.Offset]; ok {
-					x.emit(ir.Inst{Kind: ir.KMetaClear, A: ir.R(r),
-						MemSize: ir.CI(slot.Size)})
+					x.emit(ir.Inst{Kind: ir.KMetaClear, A: ir.R(r), B: ir.CI(slot.Size)})
 				}
 			}
 		}
 		out := *in
 		if out.HasVal && x.f.RetIsPtr {
-			b, e := x.metaOf(out.A)
-			out.RetBase, out.RetBound = b, e
+			out.Meta = x.metaOf(out.A, 0, x.words)
 			out.RetMetaValid = true
-			if x.opts.Temporal {
-				out.TMeta = true
-				out.RetKey, out.RetLock = x.metaOfT(out.A)
-			}
+			out.TMeta = x.opts.Temporal
 		}
 		x.emit(out)
 
@@ -510,40 +449,25 @@ func (x *xform) rewrite(in *ir.Inst) {
 // for pointer-returning calls (paper §3.3). Slots are positional (one
 // per pointer argument, keyed by argument index), so the runtime can
 // hand them to the *dynamic* callee by its own parameter layout even
-// when an indirect call site's static signature disagrees.
+// when an indirect call site's static signature disagrees. Under
+// temporal lowering TMeta widens every slot and the return tuple.
 func (x *xform) rewriteCall(in *ir.Inst) {
 	out := *in
 	if out.Callee.Kind == ir.VReg && x.opts.CheckFuncPtrCalls {
-		b, e := x.metaOf(out.Callee)
-		x.emit(ir.Inst{Kind: ir.KCheck, A: out.Callee, Base: b, Bound: e,
+		x.emit(ir.Inst{Kind: ir.KCheck, A: out.Callee, Meta: x.metaOf(out.Callee, 0, 2),
 			AccessSize: 0, CheckK: ir.CheckCall})
 	}
 	out.Shadow = nil
 	for i, a := range out.Args {
 		if x.valueIsPtr(a) {
-			b, e := x.metaOf(a)
-			sl := ir.ShadowSlot{Arg: i, Base: b, Bound: e}
-			if x.opts.Temporal {
-				sl.Temporal = true
-				sl.Key, sl.Lock = x.metaOfT(a)
-			}
-			out.Shadow = append(out.Shadow, sl)
+			out.Shadow = append(out.Shadow, ir.ShadowSlot{Arg: i, Meta: x.metaOf(a, 0, x.words)})
 		}
 	}
 	if out.Dst != ir.NoReg && x.isPtrReg(out.Dst) {
-		b, e := x.ensure(out.Dst)
-		out.DstBase, out.DstBound = b, e
-		if x.opts.Temporal {
-			out.DstKey, out.DstLock = x.ensureT(out.Dst)
-		}
-	} else {
-		out.DstBase, out.DstBound = ir.NoReg, ir.NoReg
+		out.MetaDst = x.ensure(out.Dst, 0, x.words)
+		out.RetMetaValid = true
 	}
-	if x.opts.Temporal {
-		// TMeta on the call gates the wider shadow window (key/lock ride
-		// in every slot) and the temporal return registers.
-		out.TMeta = true
-	}
+	out.TMeta = x.opts.Temporal
 	x.emit(out)
 }
 

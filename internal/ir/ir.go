@@ -231,7 +231,7 @@ type Inst struct {
 	Dst Reg   // result register (NoReg if none)
 	A   Value // first operand
 	B   Value // second operand
-	C   Value // third operand (Check bound, CondBr false target index, ...)
+	C   Value // immediate: KGEP constant offset, KAlloca frame offset
 
 	Op   Op      // for KBin / KUn
 	Pred Pred    // for KCmp
@@ -256,20 +256,16 @@ type Inst struct {
 	// Shadow lists the shadow-stack slots the caller fills for this
 	// call's metadata window: one entry per pointer argument, identified
 	// by argument index. At runtime the VM reserves a window of
-	// 1+len(Args) (base, bound) slots per call — slot 0 receives the
+	// 1+len(Args) metadata slots per call — slot 0 receives the
 	// callee's return metadata, slot 1+i carries argument i's metadata —
 	// and the callee pops slots by its *own* parameter layout, so
 	// metadata survives indirect calls whose static site signature
 	// disagrees with the dynamic callee (paper §3.3, §5.2).
 	Shadow []ShadowSlot
-	// DstBase/DstBound receive the returned pointer's metadata when the
-	// callee returns a pointer and instrumentation is on.
-	DstBase, DstBound Reg
 
-	// KCheck: A=ptr, Base, Bound, AccessSize. CheckK gives the kind.
-	Base, Bound Value
-	AccessSize  int64
-	CheckK      CheckKind
+	// KCheck: A=ptr, Meta, AccessSize. CheckK gives the kind.
+	AccessSize int64
+	CheckK     CheckKind
 
 	// KGEP bounds shrinking (paper §3.1 "Shrinking Pointer Bounds"):
 	// when the GEP creates a pointer to a struct field, the SoftBound
@@ -280,40 +276,108 @@ type Inst struct {
 	// Branch targets (indices into Func.Blocks).
 	Target, Else int
 
-	// Ret: A = value (or absent); RetBase/RetBound = metadata when
-	// returning a pointer under instrumentation.
-	HasVal             bool
-	RetBase, RetBound  Value
-	RetMetaValid       bool
-	SrcBase, SrcBound  Value // KMetaStore: metadata to store for the pointer at addr A
-	DstBaseR, DstBndR  Reg   // KMetaLoad: receive metadata for pointer loaded from addr A
-	MemcpyLen, MemSize Value // KMemMeta ops
+	// Meta is a pointer's metadata tuple (base, bound, key, lock): what
+	// KCheck checks A against, what KMetaStore stores for the pointer at
+	// A, and what KRet returns. MetaDst receives a tuple: from the table
+	// lookup of A (KMetaLoad), or from the callee (KCall).
+	Meta    [4]Value
+	MetaDst [4]Reg
 
-	// Temporal (CETS lock-and-key) operands. TMeta gates every field
-	// below: the zero Value/Reg are VALID operands (register 0), so the
-	// VM and the optimizer must consult these only when TMeta is set —
-	// spatial-only lowering leaves TMeta false and the temporal operands
-	// are then meaningless zero values that nothing reads.
-	TMeta             bool
-	Key, Lock         Value // KCheck: allocation key + lock index of A's metadata
-	SrcKey, SrcLock   Value // KMetaStore: temporal metadata to store
-	DstKeyR, DstLockR Reg   // KMetaLoad: receive temporal metadata
-	DstKey, DstLock   Reg   // KCall: receive returned pointer's temporal metadata
-	RetKey, RetLock   Value // KRet: temporal metadata of a returned pointer
+	// KRet: A = value when HasVal.
+	HasVal bool
+	// RetMetaValid marks a returned pointer's metadata: a KRet returns
+	// Meta, a KCall receives it into MetaDst.
+	RetMetaValid bool
+	// TMeta gates the temporal half of the tuples, words 2 and 3: the
+	// zero Value/Reg are VALID operands (register 0), so nothing may
+	// consult those words unless TMeta is set. On a KCall it also widens
+	// every shadow slot.
+	TMeta bool
+}
+
+// MetaWords is the number of words of the instruction's metadata
+// tuples that are in use: 4 (base, bound, key, lock) under TMeta, else 2.
+func (in *Inst) MetaWords() int {
+	if in.TMeta {
+		return 4
+	}
+	return 2
+}
+
+// Uses calls fn for every operand the instruction reads, in operand
+// order: constants and symbols as well as registers. A field its kind
+// does not read is never reported (an unset field is the zero Value,
+// which names register 0), nor is C, which only ever holds an immediate.
+// Every pass that asks which registers an instruction reads asks this.
+func (in *Inst) Uses(fn func(Value)) {
+	switch in.Kind {
+	case KConst, KMov, KUn, KConv, KLoad, KCondBr, KMetaLoad:
+		fn(in.A)
+	case KBin, KCmp, KStore, KGEP, KMetaClear:
+		fn(in.A)
+		fn(in.B)
+	case KCheck, KMetaStore:
+		fn(in.A)
+		in.usesMeta(&in.Meta, fn)
+	case KRet:
+		if in.HasVal {
+			fn(in.A)
+		}
+		if in.RetMetaValid {
+			in.usesMeta(&in.Meta, fn)
+		}
+	case KCall:
+		fn(in.Callee)
+		for _, a := range in.Args {
+			fn(a)
+		}
+		for i := range in.Shadow {
+			in.usesMeta(&in.Shadow[i].Meta, fn)
+		}
+	}
+}
+
+func (in *Inst) usesMeta(m *[4]Value, fn func(Value)) {
+	for _, v := range m[:in.MetaWords()] {
+		fn(v)
+	}
+}
+
+// Defs calls fn for every register the instruction writes: Dst, and the
+// metadata destinations of KMetaLoad and of a pointer-returning KCall.
+// This is the kill set every caching pass must respect.
+func (in *Inst) Defs(fn func(Reg)) {
+	switch in.Kind {
+	case KConst, KMov, KBin, KUn, KCmp, KConv, KGEP, KAlloca, KLoad:
+		if in.Dst != NoReg {
+			fn(in.Dst)
+		}
+	case KCall:
+		if in.Dst != NoReg {
+			fn(in.Dst)
+		}
+		if in.RetMetaValid {
+			in.defsMeta(fn)
+		}
+	case KMetaLoad:
+		in.defsMeta(fn)
+	}
+}
+
+func (in *Inst) defsMeta(fn func(Reg)) {
+	for _, r := range in.MetaDst[:in.MetaWords()] {
+		fn(r)
+	}
 }
 
 // ShadowSlot is one caller-filled slot of a call's shadow-stack metadata
-// window: the (base, bound) pair for the pointer passed as argument Arg.
-// Arguments without a slot (non-pointers) leave their window slot zeroed,
-// which the runtime treats as "no metadata" (fail-closed NULL bounds).
+// window: the metadata tuple for the pointer passed as argument Arg, as
+// wide as the call's MetaWords. Arguments without a slot (non-pointers)
+// leave their window slot zeroed, which the runtime treats as "no
+// metadata" (fail-closed NULL bounds).
 type ShadowSlot struct {
-	Arg         int // argument index; rides in window slot 1+Arg
-	Base, Bound Value
-	// Key/Lock carry the argument's temporal metadata when Temporal is
-	// set (the zero Value is a valid register operand, so the flag gates
-	// them exactly like Inst.TMeta gates the instruction-level fields).
-	Key, Lock Value
-	Temporal  bool
+	Arg  int // argument index; rides in window slot 1+Arg
+	Meta [4]Value
 }
 
 // InstKind discriminates instructions.
@@ -335,10 +399,10 @@ const (
 	KRet                       // return A?
 	KBr                        // br Target
 	KCondBr                    // if A != 0 br Target else Else
-	KCheck                     // spatial check(A in [Base, Bound-AccessSize])
-	KMetaLoad                  // DstBaseR/DstBndR = table_lookup(A)
-	KMetaStore                 // table_update(A, SrcBase, SrcBound)
-	KMetaClear                 // table_clear(A, MemSize) — clear metadata range
+	KCheck                     // check(A in [Meta base, Meta bound-AccessSize])
+	KMetaLoad                  // MetaDst = table_lookup(A)
+	KMetaStore                 // table_update(A, Meta)
+	KMetaClear                 // table_clear(A, B) — clear B bytes of metadata
 	KUnreachable
 )
 

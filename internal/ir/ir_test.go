@@ -1,8 +1,11 @@
 package ir
 
 import (
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestValueConstructors(t *testing.T) {
@@ -77,43 +80,209 @@ func TestModuleLookupAndLink(t *testing.T) {
 	}
 }
 
+// TestInstStringCoverage renders every kind. The metadata-carrying
+// kinds are pinned to their exact text at both tuple widths; the rest
+// need only render something.
 func TestInstStringCoverage(t *testing.T) {
-	insts := []Inst{
-		{Kind: KConst, Dst: 0, A: CI(1)},
-		{Kind: KBin, Dst: 1, Op: OpAdd, A: R(0), B: CI(2), IntWidth: 32, Signed: true},
-		{Kind: KCmp, Dst: 2, Pred: PredLT, A: R(0), B: R(1)},
-		{Kind: KLoad, Dst: 3, A: R(0), Mem: MemPtr},
-		{Kind: KStore, A: R(0), B: R(3), Mem: MemI32},
-		{Kind: KGEP, Dst: 4, A: R(0), B: R(1), Size: 4, C: CI(8)},
-		{Kind: KCall, Dst: 5, Callee: FV("malloc"), Args: []Value{CI(8)},
-			DstBase: NoReg, DstBound: NoReg},
-		{Kind: KRet, HasVal: true, A: R(5)},
-		{Kind: KCheck, A: R(0), Base: R(1), Bound: R(2), AccessSize: 4, CheckK: CheckStore},
-		{Kind: KMetaLoad, A: R(0), DstBaseR: 6, DstBndR: 7},
-		{Kind: KMetaStore, A: R(0), SrcBase: R(6), SrcBound: R(7)},
-		{Kind: KMetaClear, A: R(0), MemSize: CI(16)},
-		{Kind: KBr, Target: 2},
-		{Kind: KCondBr, A: R(2), Target: 1, Else: 2},
-		{Kind: KUnreachable},
-		{Kind: KAlloca, Dst: 8, Size: 32, Name: "buf", C: CI(0)},
-		{Kind: KConv, Dst: 9, A: R(1), Mem: MemF64, ConvSrc: MemI64},
-		{Kind: KUn, Dst: 10, Op: OpNeg, A: R(1)},
-		{Kind: KMov, Dst: 11, A: R(10)},
-	}
-	for _, in := range insts {
-		s := in.String()
-		if s == "" {
-			t.Errorf("empty render for kind %v", in.Kind)
-		}
+	callShadow := []ShadowSlot{{Arg: 0, Meta: [4]Value{R(3), R(4), R(10), R(11)}}}
+	cases := []struct {
+		in   Inst
+		want string // "" = any non-empty text
+	}{
+		{Inst{Kind: KConst, Dst: 0, A: CI(1)}, ""},
+		{Inst{Kind: KBin, Dst: 1, Op: OpAdd, A: R(0), B: CI(2), IntWidth: 32, Signed: true}, ""},
+		{Inst{Kind: KCmp, Dst: 2, Pred: PredLT, A: R(0), B: R(1)}, ""},
+		{Inst{Kind: KLoad, Dst: 3, A: R(0), Mem: MemPtr}, ""},
+		{Inst{Kind: KStore, A: R(0), B: R(3), Mem: MemI32}, ""},
+		{Inst{Kind: KGEP, Dst: 4, A: R(0), B: R(1), Size: 4, C: CI(8)}, ""},
+		{Inst{Kind: KCall, Dst: 5, Callee: FV("malloc"), Args: []Value{CI(8)}},
+			"%5 = call &malloc(8)"},
+		{Inst{Kind: KCall, Dst: 5, Callee: FV("f"), Args: []Value{R(1), CI(2)},
+			RetMetaValid: true, MetaDst: [4]Reg{6, 7, 8, 9}, Shadow: callShadow},
+			"%5,%6,%7 = call &f(%1, 2) shadow{0:[%3,%4]}"},
+		{Inst{Kind: KCall, Dst: 5, Callee: FV("f"), Args: []Value{R(1), CI(2)},
+			RetMetaValid: true, MetaDst: [4]Reg{6, 7, 8, 9}, Shadow: callShadow, TMeta: true},
+			"%5,%6,%7,%8,%9 = call &f(%1, 2) shadow{0:[%3,%4,%10,%11]}"},
+		{Inst{Kind: KRet}, "ret"},
+		{Inst{Kind: KRet, HasVal: true, A: R(5)}, "ret %5"},
+		{Inst{Kind: KRet, HasVal: true, A: R(5), RetMetaValid: true,
+			Meta: [4]Value{R(6), R(7), R(8), R(9)}}, "ret %5 [%6,%7]"},
+		{Inst{Kind: KRet, HasVal: true, A: R(5), RetMetaValid: true,
+			Meta: [4]Value{R(6), R(7), R(8), R(9)}, TMeta: true}, "ret %5 [%6,%7,%8,%9]"},
+		{Inst{Kind: KCheck, A: R(0), Meta: [4]Value{R(1), R(2), R(3), R(4)},
+			AccessSize: 4, CheckK: CheckStore}, "check.store %0 in [%1, %2) size=4"},
+		{Inst{Kind: KCheck, A: R(0), Meta: [4]Value{R(1), R(2), R(3), R(4)},
+			AccessSize: 8, CheckK: CheckLoad, TMeta: true},
+			"check.load %0 in [%1, %2) size=8 key=%3 lock=%4"},
+		{Inst{Kind: KMetaLoad, A: R(0), MetaDst: [4]Reg{6, 7, 8, 9}}, "%6,%7 = metaload %0"},
+		{Inst{Kind: KMetaLoad, A: R(0), MetaDst: [4]Reg{6, 7, 8, 9}, TMeta: true},
+			"%6,%7,%8,%9 = metaload %0"},
+		{Inst{Kind: KMetaStore, A: R(0), Meta: [4]Value{R(6), R(7), R(8), R(9)}},
+			"metastore %0, [%6,%7]"},
+		{Inst{Kind: KMetaStore, A: R(0), Meta: [4]Value{R(6), R(7), R(8), R(9)}, TMeta: true},
+			"metastore %0, [%6,%7,%8,%9]"},
+		{Inst{Kind: KMetaClear, A: R(0), B: CI(16)}, "metaclear %0, 16"},
+		{Inst{Kind: KMetaClear, A: R(0), B: CI(16), TMeta: true}, "metaclear %0, 16"},
+		{Inst{Kind: KBr, Target: 2}, ""},
+		{Inst{Kind: KCondBr, A: R(2), Target: 1, Else: 2}, ""},
+		{Inst{Kind: KUnreachable}, ""},
+		{Inst{Kind: KAlloca, Dst: 8, Size: 32, Name: "buf", C: CI(0)}, ""},
+		{Inst{Kind: KConv, Dst: 9, A: R(1), Mem: MemF64, ConvSrc: MemI64}, ""},
+		{Inst{Kind: KUn, Dst: 10, Op: OpNeg, A: R(1)}, ""},
+		{Inst{Kind: KMov, Dst: 11, A: R(10)}, ""},
 	}
 	term := 0
-	for _, in := range insts {
-		if in.IsTerminator() {
+	for _, c := range cases {
+		s := c.in.String()
+		switch {
+		case s == "":
+			t.Errorf("empty render for kind %v", c.in.Kind)
+		case c.want != "" && s != c.want:
+			t.Errorf("%v (TMeta=%v) renders %q, want %q", c.in.Kind, c.in.TMeta, s, c.want)
+		}
+		if c.in.IsTerminator() {
 			term++
 		}
 	}
-	if term != 4 { // ret, br, condbr, unreachable
+	if term != 7 { // 4 rets, br, condbr, unreachable
 		t.Errorf("terminators = %d", term)
+	}
+}
+
+// TestInstSize pins the size of an instruction and of a shadow slot on
+// 64-bit targets: one metadata tuple each, not a field per word.
+func TestInstSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit targets")
+	}
+	if got := unsafe.Sizeof(Inst{}); got > 704 {
+		t.Errorf("sizeof(Inst) = %d, want <= 704", got)
+	}
+	if got := unsafe.Sizeof(ShadowSlot{}); got != 232 {
+		t.Errorf("sizeof(ShadowSlot) = %d, want 232", got)
+	}
+}
+
+// fullInst sets every operand field of an instruction to a distinct
+// register (register 0 is nowhere), so a walker that reports a field its
+// kind does not read shows up as an extra register.
+func fullInst(k InstKind, tmeta bool) Inst {
+	return Inst{Kind: k, TMeta: tmeta, HasVal: true, RetMetaValid: true,
+		Dst: 1, A: R(2), B: R(3), C: R(4),
+		Callee: R(5), Args: []Value{R(6), R(7)},
+		Shadow:  []ShadowSlot{{Arg: 0, Meta: [4]Value{R(8), R(9), R(10), R(11)}}},
+		Meta:    [4]Value{R(12), R(13), R(14), R(15)},
+		MetaDst: [4]Reg{16, 17, 18, 19},
+	}
+}
+
+func usesOf(in *Inst) []Reg {
+	var rs []Reg
+	in.Uses(func(v Value) {
+		if v.IsReg() {
+			rs = append(rs, v.Reg)
+		}
+	})
+	sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
+	return rs
+}
+
+func defsOf(in *Inst) []Reg {
+	var rs []Reg
+	in.Defs(func(r Reg) { rs = append(rs, r) })
+	sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
+	return rs
+}
+
+// TestUsesDefsEveryKind checks the operand walker over every kind at
+// both tuple widths: exactly the registers the kind reads and writes,
+// the temporal words only under TMeta, and the return tuple only under
+// RetMetaValid.
+func TestUsesDefsEveryKind(t *testing.T) {
+	type sets struct{ uses, defs []Reg }
+	// Spatial sets; the temporal width adds the words in wide.
+	want := map[InstKind]sets{
+		KConst:       {[]Reg{2}, []Reg{1}},
+		KMov:         {[]Reg{2}, []Reg{1}},
+		KBin:         {[]Reg{2, 3}, []Reg{1}},
+		KUn:          {[]Reg{2}, []Reg{1}},
+		KCmp:         {[]Reg{2, 3}, []Reg{1}},
+		KConv:        {[]Reg{2}, []Reg{1}},
+		KAlloca:      {nil, []Reg{1}},
+		KLoad:        {[]Reg{2}, []Reg{1}},
+		KStore:       {[]Reg{2, 3}, nil},
+		KGEP:         {[]Reg{2, 3}, []Reg{1}},
+		KCall:        {[]Reg{5, 6, 7, 8, 9}, []Reg{1, 16, 17}},
+		KRet:         {[]Reg{2, 12, 13}, nil},
+		KBr:          {nil, nil},
+		KCondBr:      {[]Reg{2}, nil},
+		KCheck:       {[]Reg{2, 12, 13}, nil},
+		KMetaLoad:    {[]Reg{2}, []Reg{16, 17}},
+		KMetaStore:   {[]Reg{2, 12, 13}, nil},
+		KMetaClear:   {[]Reg{2, 3}, nil},
+		KUnreachable: {nil, nil},
+	}
+	wide := map[InstKind]sets{
+		KCall:      {[]Reg{10, 11}, []Reg{18, 19}},
+		KRet:       {[]Reg{14, 15}, nil},
+		KCheck:     {[]Reg{14, 15}, nil},
+		KMetaLoad:  {nil, []Reg{18, 19}},
+		KMetaStore: {[]Reg{14, 15}, nil},
+	}
+	sorted := func(a, b []Reg) []Reg {
+		rs := append(append([]Reg(nil), a...), b...)
+		sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
+		return rs
+	}
+	for k := KConst; k <= KUnreachable; k++ {
+		w, ok := want[k]
+		if !ok {
+			t.Fatalf("no expected operands for %v", k)
+		}
+		for _, tmeta := range []bool{false, true} {
+			in := fullInst(k, tmeta)
+			u, d := w.uses, w.defs
+			if tmeta {
+				u, d = sorted(u, wide[k].uses), sorted(d, wide[k].defs)
+			}
+			if got := usesOf(&in); !reflect.DeepEqual(got, u) {
+				t.Errorf("%v TMeta=%v: Uses = %v, want %v", k, tmeta, got, u)
+			}
+			if got := defsOf(&in); !reflect.DeepEqual(got, d) {
+				t.Errorf("%v TMeta=%v: Defs = %v, want %v", k, tmeta, got, d)
+			}
+
+			// The zero Value and Reg name register 0: a spatial
+			// instruction whose temporal words are unset must not
+			// report it.
+			if !tmeta {
+				in.Meta[2], in.Meta[3] = Value{}, Value{}
+				in.MetaDst[2], in.MetaDst[3] = 0, 0
+				in.Shadow[0].Meta[2], in.Shadow[0].Meta[3] = Value{}, Value{}
+				for _, r := range append(usesOf(&in), defsOf(&in)...) {
+					if r == 0 {
+						t.Errorf("%v: spatial instruction reports register 0", k)
+					}
+				}
+			}
+		}
+	}
+
+	// Without RetMetaValid a call defines only Dst and a ret reads no
+	// tuple; without HasVal a ret reads nothing.
+	call := fullInst(KCall, true)
+	call.RetMetaValid = false
+	if got := defsOf(&call); !reflect.DeepEqual(got, []Reg{1}) {
+		t.Errorf("call without return metadata: Defs = %v", got)
+	}
+	ret := fullInst(KRet, true)
+	ret.RetMetaValid = false
+	if got := usesOf(&ret); !reflect.DeepEqual(got, []Reg{2}) {
+		t.Errorf("ret without metadata: Uses = %v", got)
+	}
+	ret.HasVal = false
+	if got := usesOf(&ret); got != nil {
+		t.Errorf("bare ret: Uses = %v", got)
 	}
 }
 
@@ -139,10 +308,9 @@ func TestFuncAndModuleString(t *testing.T) {
 // list is shorter than (or disjoint from) the argument list.
 func TestCallShadowSlotsPrinted(t *testing.T) {
 	in := Inst{Kind: KCall, Dst: 0, Callee: FV("sink"),
-		DstBase: NoReg, DstBound: NoReg,
 		Args: []Value{R(1), R(2), R(3)},
 		Shadow: []ShadowSlot{
-			{Arg: 2, Base: R(4), Bound: R(5)},
+			{Arg: 2, Meta: [4]Value{R(4), R(5)}},
 		}}
 	s := in.String()
 	if !strings.Contains(s, "shadow{2:[%4,%5]}") {

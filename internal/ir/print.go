@@ -91,12 +91,8 @@ func (in *Inst) String() string {
 		dst := ""
 		if in.Dst != NoReg {
 			dst = fmt.Sprintf("%s = ", in.Dst)
-			if in.DstBase != NoReg {
-				dst = fmt.Sprintf("%s,%s,%s = ", in.Dst, in.DstBase, in.DstBound)
-				if in.TMeta {
-					dst = fmt.Sprintf("%s,%s,%s,%s,%s = ", in.Dst,
-						in.DstBase, in.DstBound, in.DstKey, in.DstLock)
-				}
+			if in.RetMetaValid {
+				dst = fmt.Sprintf("%s,%s = ", in.Dst, joinMeta(in.MetaDst[:in.MetaWords()]))
 			}
 		}
 		s := fmt.Sprintf("%scall %s(%s)", dst, in.Callee, strings.Join(args, ", "))
@@ -106,12 +102,7 @@ func (in *Inst) String() string {
 		if len(in.Shadow) > 0 {
 			var slots []string
 			for _, sl := range in.Shadow {
-				if sl.Temporal {
-					slots = append(slots, fmt.Sprintf("%d:[%s,%s,%s,%s]",
-						sl.Arg, sl.Base, sl.Bound, sl.Key, sl.Lock))
-				} else {
-					slots = append(slots, fmt.Sprintf("%d:[%s,%s]", sl.Arg, sl.Base, sl.Bound))
-				}
+				slots = append(slots, fmt.Sprintf("%d:[%s]", sl.Arg, joinMeta(sl.Meta[:in.MetaWords()])))
 			}
 			s += fmt.Sprintf(" shadow{%s}", strings.Join(slots, ", "))
 		}
@@ -121,11 +112,7 @@ func (in *Inst) String() string {
 			return "ret"
 		}
 		if in.RetMetaValid {
-			if in.TMeta {
-				return fmt.Sprintf("ret %s [%s,%s,%s,%s]", in.A,
-					in.RetBase, in.RetBound, in.RetKey, in.RetLock)
-			}
-			return fmt.Sprintf("ret %s [%s,%s]", in.A, in.RetBase, in.RetBound)
+			return fmt.Sprintf("ret %s [%s]", in.A, joinMeta(in.Meta[:in.MetaWords()]))
 		}
 		return fmt.Sprintf("ret %s", in.A)
 	case KBr:
@@ -133,29 +120,34 @@ func (in *Inst) String() string {
 	case KCondBr:
 		return fmt.Sprintf("condbr %s, b%d, b%d", in.A, in.Target, in.Else)
 	case KCheck:
+		s := fmt.Sprintf("check.%s %s in [%s, %s) size=%d",
+			in.CheckK, in.A, in.Meta[0], in.Meta[1], in.AccessSize)
 		if in.TMeta {
-			return fmt.Sprintf("check.%s %s in [%s, %s) size=%d key=%s lock=%s",
-				in.CheckK, in.A, in.Base, in.Bound, in.AccessSize, in.Key, in.Lock)
+			s += fmt.Sprintf(" key=%s lock=%s", in.Meta[2], in.Meta[3])
 		}
-		return fmt.Sprintf("check.%s %s in [%s, %s) size=%d", in.CheckK, in.A, in.Base, in.Bound, in.AccessSize)
+		return s
 	case KMetaLoad:
-		if in.TMeta {
-			return fmt.Sprintf("%s,%s,%s,%s = metaload %s",
-				in.DstBaseR, in.DstBndR, in.DstKeyR, in.DstLockR, in.A)
-		}
-		return fmt.Sprintf("%s,%s = metaload %s", in.DstBaseR, in.DstBndR, in.A)
+		return fmt.Sprintf("%s = metaload %s", joinMeta(in.MetaDst[:in.MetaWords()]), in.A)
 	case KMetaStore:
-		if in.TMeta {
-			return fmt.Sprintf("metastore %s, [%s,%s,%s,%s]", in.A,
-				in.SrcBase, in.SrcBound, in.SrcKey, in.SrcLock)
-		}
-		return fmt.Sprintf("metastore %s, [%s,%s]", in.A, in.SrcBase, in.SrcBound)
+		return fmt.Sprintf("metastore %s, [%s]", in.A, joinMeta(in.Meta[:in.MetaWords()]))
 	case KMetaClear:
-		return fmt.Sprintf("metaclear %s, %s", in.A, in.MemSize)
+		return fmt.Sprintf("metaclear %s, %s", in.A, in.B)
 	case KUnreachable:
 		return "unreachable"
 	}
 	return fmt.Sprintf("inst(%d)", in.Kind)
+}
+
+// joinMeta renders the words of a metadata tuple in use, comma-separated.
+func joinMeta[T fmt.Stringer](words []T) string {
+	var b strings.Builder
+	for i, w := range words {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(w.String())
+	}
+	return b.String()
 }
 
 // IsTerminator reports whether the instruction ends a block.

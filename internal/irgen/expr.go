@@ -214,8 +214,7 @@ func (g *generator) storeLValue(lv lvalue, v ir.Value, pos ctoken.Pos) error {
 	}
 	if lv.t.Kind == ctypes.Struct {
 		g.emit(ir.Inst{Kind: ir.KCall, Dst: ir.NoReg, Callee: ir.FV("memcpy"),
-			Args:    []ir.Value{lv.addr, v, ir.CI(lv.t.Size())},
-			DstBase: ir.NoReg, DstBound: ir.NoReg})
+			Args: []ir.Value{lv.addr, v, ir.CI(lv.t.Size())}})
 		return nil
 	}
 	mt, err := memTypeOf(lv.t)

@@ -143,7 +143,7 @@ void f(struct s* d, struct s* x) { *d = *x; }
 			in := &b.Insts[i]
 			if in.Kind == ir.KCall && in.Callee.Sym == "memcpy" {
 				foundMemcpy = true
-				if in.DstBase != ir.NoReg || in.DstBound != ir.NoReg {
+				if in.RetMetaValid {
 					t.Error("intrinsic memcpy call has live metadata dst registers")
 				}
 			}

@@ -524,8 +524,7 @@ func (g *generator) genCall(x *cast.Call) (ir.Value, error) {
 		}
 		dst = g.newReg(classOf(retT))
 	}
-	g.emit(ir.Inst{Kind: ir.KCall, Dst: dst, Callee: callee, Args: args,
-		DstBase: ir.NoReg, DstBound: ir.NoReg})
+	g.emit(ir.Inst{Kind: ir.KCall, Dst: dst, Callee: callee, Args: args})
 	if dst == ir.NoReg {
 		return ir.CI(0), nil
 	}

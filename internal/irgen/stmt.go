@@ -584,9 +584,8 @@ func (g *generator) genInitInto(addr ir.Value, t *ctypes.Type, init *cast.Init) 
 				n = t.ArrayLen
 			}
 			g.emit(ir.Inst{Kind: ir.KCall, Dst: ir.NoReg,
-				Callee:  ir.FV("memcpy"),
-				Args:    []ir.Value{addr, ir.GV(name, 0), ir.CI(n)},
-				DstBase: ir.NoReg, DstBound: ir.NoReg})
+				Callee: ir.FV("memcpy"),
+				Args:   []ir.Value{addr, ir.GV(name, 0), ir.CI(n)}})
 			return nil
 		}
 		v, err := g.genExprConverted(init.Expr, t)
@@ -597,9 +596,8 @@ func (g *generator) genInitInto(addr ir.Value, t *ctypes.Type, init *cast.Init) 
 			// Struct assignment from another struct lvalue: the
 			// expression evaluates to the source address.
 			g.emit(ir.Inst{Kind: ir.KCall, Dst: ir.NoReg,
-				Callee:  ir.FV("memcpy"),
-				Args:    []ir.Value{addr, v, ir.CI(t.Size())},
-				DstBase: ir.NoReg, DstBound: ir.NoReg})
+				Callee: ir.FV("memcpy"),
+				Args:   []ir.Value{addr, v, ir.CI(t.Size())}})
 			return nil
 		}
 		mt, err := memTypeOf(t)
@@ -611,8 +609,7 @@ func (g *generator) genInitInto(addr ir.Value, t *ctypes.Type, init *cast.Init) 
 	}
 	// Brace list: zero the whole object, then store the listed elements.
 	g.emit(ir.Inst{Kind: ir.KCall, Dst: ir.NoReg, Callee: ir.FV("memset"),
-		Args:    []ir.Value{addr, ir.CI(0), ir.CI(t.Size())},
-		DstBase: ir.NoReg, DstBound: ir.NoReg})
+		Args: []ir.Value{addr, ir.CI(0), ir.CI(t.Size())}})
 	return g.genBraceInto(addr, t, init)
 }
 

@@ -79,7 +79,7 @@ func (b *fuzzBuilder) straightOps(n int) {
 			b.emit(ir.Inst{Kind: ir.KGEP, Dst: fuzzAddrReg, A: ir.GV("g", 0),
 				B: ir.CI(off / 8), Size: 8})
 			b.emit(ir.Inst{Kind: ir.KCheck, A: ir.R(fuzzAddrReg),
-				Base: ir.GV("g", 0), Bound: ir.GV("g", fuzzGlobalSize),
+				Meta:       [4]ir.Value{ir.GV("g", 0), ir.GV("g", fuzzGlobalSize)},
 				AccessSize: 8, CheckK: ir.CheckLoad})
 			if b.rng.Intn(2) == 0 {
 				b.emit(ir.Inst{Kind: ir.KLoad, Dst: b.acc(), A: ir.R(fuzzAddrReg), Mem: ir.MemI64})
@@ -89,22 +89,23 @@ func (b *fuzzBuilder) straightOps(n int) {
 		case 6: // check with a random (possibly out-of-bounds) constant slot
 			off := int64(b.rng.Intn(fuzzGlobalSize + 16))
 			b.emit(ir.Inst{Kind: ir.KCheck, A: ir.GV("g", off),
-				Base: ir.GV("g", 0), Bound: ir.GV("g", fuzzGlobalSize),
+				Meta:       [4]ir.Value{ir.GV("g", 0), ir.GV("g", fuzzGlobalSize)},
 				AccessSize: 8, CheckK: ir.CheckStore})
 		case 7: // metadata store
 			b.emit(ir.Inst{Kind: ir.KMetaStore, A: ir.GV("g", b.gOff()),
-				SrcBase: b.operand(), SrcBound: b.operand()})
+				Meta: [4]ir.Value{b.operand(), b.operand()}})
 		case 8: // metadata load folded into an accumulator
 			b.emit(ir.Inst{Kind: ir.KMetaLoad, A: ir.GV("g", b.gOff()),
-				DstBaseR: fuzzMetaBase, DstBndR: fuzzMetaBound})
+				MetaDst: [4]ir.Reg{fuzzMetaBase, fuzzMetaBound}})
 			b.emit(ir.Inst{Kind: ir.KBin, Dst: b.acc(), Op: ir.OpAdd,
 				A: ir.R(b.acc()), B: ir.R(fuzzMetaBase)})
 			b.emit(ir.Inst{Kind: ir.KBin, Dst: b.acc(), Op: ir.OpXor,
 				A: ir.R(b.acc()), B: ir.R(fuzzMetaBound)})
 		default: // duplicated check pair (elimination fodder)
 			k := b.gOff()
-			c := ir.Inst{Kind: ir.KCheck, A: ir.GV("g", k), Base: ir.GV("g", 0),
-				Bound: ir.GV("g", fuzzGlobalSize), AccessSize: 8, CheckK: ir.CheckLoad}
+			c := ir.Inst{Kind: ir.KCheck, A: ir.GV("g", k),
+				Meta:       [4]ir.Value{ir.GV("g", 0), ir.GV("g", fuzzGlobalSize)},
+				AccessSize: 8, CheckK: ir.CheckLoad}
 			b.emit(c)
 			b.emit(c)
 		}
@@ -165,7 +166,7 @@ func genModule(rng *rand.Rand) *ir.Module {
 	}
 	// Fold every accumulator plus a final metadata lookup into r0.
 	b.emit(ir.Inst{Kind: ir.KMetaLoad, A: ir.GV("g", 0),
-		DstBaseR: fuzzMetaBase, DstBndR: fuzzMetaBound})
+		MetaDst: [4]ir.Reg{fuzzMetaBase, fuzzMetaBound}})
 	for i := 1; i < fuzzAccums; i++ {
 		b.emit(ir.Inst{Kind: ir.KBin, Dst: 0, Op: ir.OpAdd, A: ir.R(0), B: ir.R(ir.Reg(i))})
 	}

@@ -50,15 +50,18 @@ func transferCheck(s availState, in *ir.Inst) availState {
 			return make(availState)
 		}
 		if in.Kind == ir.KCall {
-			// Calls can revoke locks (callee free/realloc): temporal
-			// keys do not survive them. See EliminateRedundantChecks.
+			// A temporal check's outcome depends on the lock table,
+			// which any call can change (a callee may free or realloc
+			// the allocation): calls kill temporal keys. Spatial keys
+			// are pure functions of their registers and survive.
 			for k := range s {
 				if k.tmeta {
 					delete(s, k)
 				}
 			}
 		}
-		writtenRegs(in, func(dst ir.Reg) {
+		// Any write to a register invalidates keys mentioning it.
+		in.Defs(func(dst ir.Reg) {
 			for k := range s {
 				if k.mentions(dst) {
 					delete(s, k)
@@ -219,7 +222,7 @@ func findHoistableMetaLoad(f *ir.Func, cfg *ir.CFG, loop *ir.Loop) (int, int) {
 			case ir.KCall, ir.KMetaStore, ir.KMetaClear:
 				return -1, -1
 			}
-			writtenRegs(in, func(r ir.Reg) { writes[r]++ })
+			in.Defs(func(r ir.Reg) { writes[r]++ })
 		}
 	}
 	exits := cfg.ExitBlocks(loop)
@@ -230,7 +233,7 @@ func findHoistableMetaLoad(f *ir.Func, cfg *ir.CFG, loop *ir.Loop) (int, int) {
 			if in.Kind != ir.KMetaLoad {
 				continue
 			}
-			// A temporal metaload also defines DstKeyR/DstLockR, which
+			// A temporal metaload also defines the key/lock words, which
 			// this analysis does not model; never hoist one.
 			if in.TMeta {
 				continue
@@ -240,16 +243,16 @@ func findHoistableMetaLoad(f *ir.Func, cfg *ir.CFG, loop *ir.Loop) (int, int) {
 				continue
 			}
 			// Sole in-loop definition of both destinations. (A metaload
-			// with DstBaseR == DstBndR writes that register twice.)
-			if writes[in.DstBaseR] != 1 || writes[in.DstBndR] != 1 ||
-				in.DstBaseR == in.DstBndR {
+			// whose base and bound are one register writes it twice.)
+			base, bnd := in.MetaDst[0], in.MetaDst[1]
+			if writes[base] != 1 || writes[bnd] != 1 || base == bnd {
 				continue
 			}
 			if !dominatesAll(cfg, b, exits) {
 				continue
 			}
-			if !dominatesReads(f, cfg, loop, b, i, in.DstBaseR) ||
-				!dominatesReads(f, cfg, loop, b, i, in.DstBndR) {
+			if !dominatesReads(f, cfg, loop, b, i, base) ||
+				!dominatesReads(f, cfg, loop, b, i, bnd) {
 				continue
 			}
 			return b, i
@@ -274,7 +277,9 @@ func dominatesAll(cfg *ir.CFG, b int, blocks []int) bool {
 func dominatesReads(f *ir.Func, cfg *ir.CFG, loop *ir.Loop, defBlock, defIdx int, reg ir.Reg) bool {
 	for _, b := range loop.Blocks {
 		for i := range f.Blocks[b].Insts {
-			if !readsReg(&f.Blocks[b].Insts[i], reg) {
+			reads := false
+			f.Blocks[b].Insts[i].Uses(func(v ir.Value) { reads = reads || mentionsReg(v, reg) })
+			if !reads {
 				continue
 			}
 			if b == defBlock {
@@ -289,36 +294,6 @@ func dominatesReads(f *ir.Func, cfg *ir.CFG, loop *ir.Loop, defBlock, defIdx int
 		}
 	}
 	return true
-}
-
-// readsReg reports whether in reads reg through any operand.
-func readsReg(in *ir.Inst, reg ir.Reg) bool {
-	is := func(v ir.Value) bool { return v.Kind == ir.VReg && v.Reg == reg }
-	if is(in.A) || is(in.B) || is(in.C) || is(in.Base) || is(in.Bound) ||
-		is(in.Callee) || is(in.SrcBase) || is(in.SrcBound) ||
-		is(in.RetBase) || is(in.RetBound) || is(in.MemcpyLen) || is(in.MemSize) {
-		return true
-	}
-	// Temporal operands are meaningful only under TMeta: the zero
-	// ir.Value of a spatial instruction would otherwise read register 0.
-	if in.TMeta && (is(in.Key) || is(in.Lock) || is(in.SrcKey) || is(in.SrcLock) ||
-		is(in.RetKey) || is(in.RetLock)) {
-		return true
-	}
-	for _, a := range in.Args {
-		if is(a) {
-			return true
-		}
-	}
-	for _, sh := range in.Shadow {
-		if is(sh.Base) || is(sh.Bound) {
-			return true
-		}
-		if sh.Temporal && (is(sh.Key) || is(sh.Lock)) {
-			return true
-		}
-	}
-	return false
 }
 
 // hoistInto creates (or reuses) a preheader for the loop and moves the

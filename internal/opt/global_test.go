@@ -7,7 +7,7 @@ import (
 )
 
 func chk(ptr, base, bound ir.Value) ir.Inst {
-	return ir.Inst{Kind: ir.KCheck, A: ptr, Base: base, Bound: bound,
+	return ir.Inst{Kind: ir.KCheck, A: ptr, Meta: [4]ir.Value{base, bound},
 		AccessSize: 8, CheckK: ir.CheckLoad}
 }
 
@@ -115,8 +115,7 @@ func TestGlobalCheckElimLoop(t *testing.T) {
 func TestGlobalCheckElimSetjmp(t *testing.T) {
 	c := chk(ir.R(0), ir.R(1), ir.R(2))
 	f := mkCFGFunc(4,
-		[]ir.Inst{c, {Kind: ir.KCall, Dst: 3, Callee: ir.FV("setjmp"),
-			DstBase: ir.NoReg, DstBound: ir.NoReg}, {Kind: ir.KBr, Target: 1}},
+		[]ir.Inst{c, {Kind: ir.KCall, Dst: 3, Callee: ir.FV("setjmp")}, {Kind: ir.KBr, Target: 1}},
 		[]ir.Inst{c, {Kind: ir.KRet}},
 	)
 	if n := EliminateRedundantChecksGlobal(f); n != 0 {
@@ -130,7 +129,7 @@ func TestHoistMetaLoad(t *testing.T) {
 	f := mkCFGFunc(5,
 		[]ir.Inst{{Kind: ir.KConst, Dst: 4, A: ir.CI(3)}, {Kind: ir.KBr, Target: 1}},
 		[]ir.Inst{
-			{Kind: ir.KMetaLoad, A: ir.GV("g", 0), DstBaseR: 0, DstBndR: 1},
+			{Kind: ir.KMetaLoad, A: ir.GV("g", 0), MetaDst: [4]ir.Reg{0, 1}},
 			{Kind: ir.KBin, Dst: 2, Op: ir.OpAdd, A: ir.R(2), B: ir.R(0)},
 			{Kind: ir.KBin, Dst: 4, Op: ir.OpSub, A: ir.R(4), B: ir.CI(1)},
 			{Kind: ir.KCondBr, A: ir.R(4), Target: 1, Else: 2}},
@@ -159,7 +158,7 @@ func TestHoistCreatesPreheader(t *testing.T) {
 		[]ir.Inst{{Kind: ir.KConst, Dst: 4, A: ir.CI(2)}, {Kind: ir.KBr, Target: 3}},
 		[]ir.Inst{{Kind: ir.KConst, Dst: 4, A: ir.CI(4)}, {Kind: ir.KBr, Target: 3}},
 		[]ir.Inst{
-			{Kind: ir.KMetaLoad, A: ir.GV("g", 8), DstBaseR: 0, DstBndR: 1},
+			{Kind: ir.KMetaLoad, A: ir.GV("g", 8), MetaDst: [4]ir.Reg{0, 1}},
 			{Kind: ir.KBin, Dst: 2, Op: ir.OpAdd, A: ir.R(2), B: ir.R(1)},
 			{Kind: ir.KBin, Dst: 4, Op: ir.OpSub, A: ir.R(4), B: ir.CI(1)},
 			{Kind: ir.KCondBr, A: ir.R(4), Target: 3, Else: 4}},
@@ -202,19 +201,19 @@ func TestHoistNegative(t *testing.T) {
 
 	cases := map[string]*ir.Func{
 		"call in loop": base(
-			ir.Inst{Kind: ir.KMetaLoad, A: ir.GV("g", 0), DstBaseR: 0, DstBndR: 1},
+			ir.Inst{Kind: ir.KMetaLoad, A: ir.GV("g", 0), MetaDst: [4]ir.Reg{0, 1}},
 			ir.Inst{Kind: ir.KBin, Dst: 2, Op: ir.OpAdd, A: ir.R(2), B: ir.R(0)},
-			ir.Inst{Kind: ir.KCall, Dst: 5, Callee: ir.FV("f"), DstBase: ir.NoReg, DstBound: ir.NoReg}),
+			ir.Inst{Kind: ir.KCall, Dst: 5, Callee: ir.FV("f")}),
 		"metastore in loop": base(
-			ir.Inst{Kind: ir.KMetaLoad, A: ir.GV("g", 0), DstBaseR: 0, DstBndR: 1},
+			ir.Inst{Kind: ir.KMetaLoad, A: ir.GV("g", 0), MetaDst: [4]ir.Reg{0, 1}},
 			ir.Inst{Kind: ir.KBin, Dst: 2, Op: ir.OpAdd, A: ir.R(2), B: ir.R(0)},
-			ir.Inst{Kind: ir.KMetaStore, A: ir.GV("g", 16), SrcBase: ir.R(0), SrcBound: ir.R(1)}),
+			ir.Inst{Kind: ir.KMetaStore, A: ir.GV("g", 16), Meta: [4]ir.Value{ir.R(0), ir.R(1)}}),
 		"variant address": base(
 			ir.Inst{Kind: ir.KBin, Dst: 3, Op: ir.OpAdd, A: ir.R(3), B: ir.CI(8)},
-			ir.Inst{Kind: ir.KMetaLoad, A: ir.R(3), DstBaseR: 0, DstBndR: 1},
+			ir.Inst{Kind: ir.KMetaLoad, A: ir.R(3), MetaDst: [4]ir.Reg{0, 1}},
 			ir.Inst{Kind: ir.KBin, Dst: 2, Op: ir.OpAdd, A: ir.R(2), B: ir.R(0)}),
 		"second def in loop": base(
-			ir.Inst{Kind: ir.KMetaLoad, A: ir.GV("g", 0), DstBaseR: 0, DstBndR: 1},
+			ir.Inst{Kind: ir.KMetaLoad, A: ir.GV("g", 0), MetaDst: [4]ir.Reg{0, 1}},
 			ir.Inst{Kind: ir.KConst, Dst: 0, A: ir.CI(1)},
 			ir.Inst{Kind: ir.KBin, Dst: 2, Op: ir.OpAdd, A: ir.R(2), B: ir.R(0)}),
 	}
@@ -230,7 +229,7 @@ func TestHoistNegative(t *testing.T) {
 		[]ir.Inst{{Kind: ir.KConst, Dst: 4, A: ir.CI(3)}, {Kind: ir.KBr, Target: 1}},
 		[]ir.Inst{{Kind: ir.KCondBr, A: ir.R(5), Target: 2, Else: 3}},
 		[]ir.Inst{
-			{Kind: ir.KMetaLoad, A: ir.GV("g", 0), DstBaseR: 0, DstBndR: 1},
+			{Kind: ir.KMetaLoad, A: ir.GV("g", 0), MetaDst: [4]ir.Reg{0, 1}},
 			{Kind: ir.KBin, Dst: 2, Op: ir.OpAdd, A: ir.R(2), B: ir.R(0)},
 			{Kind: ir.KBr, Target: 3}},
 		[]ir.Inst{

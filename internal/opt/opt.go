@@ -277,7 +277,7 @@ func DeadCodeElim(f *ir.Func) int {
 }
 
 // deadCodeElim is DeadCodeElim plus, when removeMetaLoads is set, removal
-// of KMetaLoads whose result registers are both unread (a table lookup
+// of KMetaLoads whose result registers are all unread (a table lookup
 // has no effect other than writing them). The two counts are disjoint.
 func deadCodeElim(f *ir.Func, removeMetaLoads bool) (removed, removedMetaLoads int) {
 	used := make([]bool, f.NumRegs)
@@ -288,41 +288,7 @@ func deadCodeElim(f *ir.Func, removeMetaLoads bool) (removed, removedMetaLoads i
 	}
 	for _, b := range f.Blocks {
 		for i := range b.Insts {
-			in := &b.Insts[i]
-			markVal(in.A)
-			markVal(in.B)
-			markVal(in.C)
-			markVal(in.Base)
-			markVal(in.Bound)
-			markVal(in.Callee)
-			markVal(in.SrcBase)
-			markVal(in.SrcBound)
-			markVal(in.RetBase)
-			markVal(in.RetBound)
-			markVal(in.MemcpyLen)
-			markVal(in.MemSize)
-			// Temporal operands are live only under the TMeta/Temporal
-			// flags: ungated, the zero ir.Value would mark register 0 as
-			// used in every spatial-only module.
-			if in.TMeta {
-				markVal(in.Key)
-				markVal(in.Lock)
-				markVal(in.SrcKey)
-				markVal(in.SrcLock)
-				markVal(in.RetKey)
-				markVal(in.RetLock)
-			}
-			for _, a := range in.Args {
-				markVal(a)
-			}
-			for _, s := range in.Shadow {
-				markVal(s.Base)
-				markVal(s.Bound)
-				if s.Temporal {
-					markVal(s.Key)
-					markVal(s.Lock)
-				}
-			}
+			b.Insts[i].Uses(markVal)
 		}
 	}
 	regUsed := func(r ir.Reg) bool { return r >= 0 && int(r) < len(used) && used[r] }
@@ -334,10 +300,9 @@ func deadCodeElim(f *ir.Func, removeMetaLoads bool) (removed, removedMetaLoads i
 			return in.Dst != ir.NoReg && regUsed(in.Dst)
 		case ir.KMetaLoad:
 			if removeMetaLoads {
-				if in.TMeta && (regUsed(in.DstKeyR) || regUsed(in.DstLockR)) {
-					return true
-				}
-				return regUsed(in.DstBaseR) || regUsed(in.DstBndR)
+				keep := false
+				in.Defs(func(r ir.Reg) { keep = keep || regUsed(r) })
+				return keep
 			}
 		}
 		return true
@@ -363,81 +328,60 @@ func deadCodeElim(f *ir.Func, removeMetaLoads bool) (removed, removedMetaLoads i
 	return removed, removedMetaLoads
 }
 
-// checkKey identifies a spatial check up to register/operand identity:
-// two checks with equal keys over unchanged registers verify the same
-// predicate.
+// checkKey identifies a check up to register/operand identity: two
+// checks with equal keys over unchanged registers verify the same
+// predicate. A temporal check also keys on its (key, lock) words; tmeta
+// keeps the zero words of a spatial check from aliasing register 0, and
+// marks the keys a call kills.
 type checkKey struct {
-	a, b, c ir.Value
-	size    int64
-	kind    ir.CheckKind
-	// Temporal checks additionally key on their (key, lock) operands;
-	// tmeta keeps the zero ir.Value of spatial checks from aliasing
-	// register 0.
-	tmeta     bool
-	key, lock ir.Value
+	a     ir.Value
+	meta  [4]ir.Value
+	size  int64
+	kind  ir.CheckKind
+	tmeta bool
 }
 
 func keyOf(in *ir.Inst) checkKey {
-	k := checkKey{a: in.A, b: in.Base, c: in.Bound, size: in.AccessSize, kind: in.CheckK}
-	if in.TMeta {
-		k.tmeta, k.key, k.lock = true, in.Key, in.Lock
-	}
+	k := checkKey{a: in.A, size: in.AccessSize, kind: in.CheckK, tmeta: in.TMeta}
+	w := in.MetaWords()
+	copy(k.meta[:w], in.Meta[:w])
 	return k
 }
 
 func (k checkKey) mentions(r ir.Reg) bool {
-	if mentionsReg(k.a, r) || mentionsReg(k.b, r) || mentionsReg(k.c, r) {
+	if mentionsReg(k.a, r) {
 		return true
 	}
-	return k.tmeta && (mentionsReg(k.key, r) || mentionsReg(k.lock, r))
+	w := 2
+	if k.tmeta {
+		w = 4
+	}
+	for _, v := range k.meta[:w] {
+		if mentionsReg(v, r) {
+			return true
+		}
+	}
+	return false
 }
 
 // EliminateRedundantChecks removes a KCheck identical to an earlier check
 // in the same block when none of its operand registers were redefined in
 // between. Checks have no side effect other than aborting, so the second
-// of two identical checks can never fire first.
+// of two identical checks can never fire first. It applies the same
+// transfer function as EliminateRedundantChecksGlobal, from an empty set
+// at every block entry.
 func EliminateRedundantChecks(f *ir.Func) int {
 	removed := 0
 	for _, blk := range f.Blocks {
-		seen := make(map[checkKey]bool)
+		seen := make(availState)
 		n := 0
 		for i := range blk.Insts {
 			in := &blk.Insts[i]
-			switch {
-			case in.Kind == ir.KCheck:
-				k := keyOf(in)
-				if seen[k] {
-					removed++
-					continue
-				}
-				seen[k] = true
-			case isSetjmpCall(in):
-				// longjmp resumes after the setjmp call with whatever
-				// register state the longjmp-ing callee left behind, so
-				// nothing can be assumed available past it.
-				seen = make(map[checkKey]bool)
-			default:
-				// A temporal check's outcome depends on the lock table,
-				// which any call can change (a callee may free or
-				// realloc the allocation): calls kill temporal keys.
-				// Spatial keys are pure functions of their registers
-				// and survive.
-				if in.Kind == ir.KCall {
-					for k := range seen {
-						if k.tmeta {
-							delete(seen, k)
-						}
-					}
-				}
-				// Any write to a register invalidates keys mentioning it.
-				writtenRegs(in, func(dst ir.Reg) {
-					for k := range seen {
-						if k.mentions(dst) {
-							delete(seen, k)
-						}
-					}
-				})
+			if in.Kind == ir.KCheck && seen[keyOf(in)] {
+				removed++
+				continue
 			}
+			seen = transferCheck(seen, in)
 			if n != i {
 				blk.Insts[n] = *in
 			}
@@ -446,41 +390,6 @@ func EliminateRedundantChecks(f *ir.Func) int {
 		blk.Insts = blk.Insts[:n]
 	}
 	return removed
-}
-
-// writtenRegs calls fn for every register the instruction defines. This
-// is the kill set every caching pass must respect: it includes the
-// metadata destinations of KMetaLoad (DstBaseR/DstBndR) and of
-// pointer-returning KCall (DstBase/DstBound), not just Dst.
-func writtenRegs(in *ir.Inst, fn func(ir.Reg)) {
-	switch in.Kind {
-	case ir.KConst, ir.KMov, ir.KBin, ir.KUn, ir.KCmp, ir.KConv,
-		ir.KGEP, ir.KAlloca, ir.KLoad:
-		if in.Dst != ir.NoReg {
-			fn(in.Dst)
-		}
-	case ir.KCall:
-		if in.Dst != ir.NoReg {
-			fn(in.Dst)
-		}
-		if in.DstBase != ir.NoReg {
-			fn(in.DstBase)
-		}
-		if in.DstBound != ir.NoReg {
-			fn(in.DstBound)
-		}
-		if in.TMeta && in.DstBase != ir.NoReg {
-			fn(in.DstKey)
-			fn(in.DstLock)
-		}
-	case ir.KMetaLoad:
-		fn(in.DstBaseR)
-		fn(in.DstBndR)
-		if in.TMeta {
-			fn(in.DstKeyR)
-			fn(in.DstLockR)
-		}
-	}
 }
 
 // isSetjmpCall reports whether in is a direct call to setjmp: the one
@@ -499,7 +408,7 @@ func mentionsReg(v ir.Value, r ir.Reg) bool {
 // a block into register moves, invalidating on metadata writes, clears,
 // calls (callees may update the table), redefinition of the address, and
 // redefinition of the registers holding the cached metadata — including
-// by another KMetaLoad, whose DstBaseR/DstBndR are definitions like any
+// by another KMetaLoad, whose MetaDst registers are definitions like any
 // other.
 func CSEMetaLoads(f *ir.Func) int {
 	merged := 0
@@ -526,12 +435,10 @@ func CSEMetaLoads(f *ir.Func) int {
 					// it would need four ordered moves and the cache knows
 					// nothing of its key/lock destinations. Keep the load
 					// and evict everything it redefines.
-					evict(in.DstBaseR)
-					evict(in.DstBndR)
-					evict(in.DstKeyR)
-					evict(in.DstLockR)
+					in.Defs(evict)
 					break
 				}
+				base, bnd := in.MetaDst[0], in.MetaDst[1]
 				// Order the two moves so neither reads a register the
 				// other just clobbered; when the destinations swap the
 				// cached pair exactly, merging would need a scratch
@@ -541,13 +448,13 @@ func CSEMetaLoads(f *ir.Func) int {
 				var dst1, src1, dst2, src2 ir.Reg
 				switch {
 				case !hit:
-				case in.DstBaseR == c.bound && in.DstBndR == c.base && c.base != c.bound:
+				case base == c.bound && bnd == c.base && c.base != c.bound:
 					// unmergeable swap
-				case in.DstBaseR == c.bound:
-					dst1, src1, dst2, src2 = in.DstBndR, c.bound, in.DstBaseR, c.base
+				case base == c.bound:
+					dst1, src1, dst2, src2 = bnd, c.bound, base, c.base
 					replaced = true
 				default:
-					dst1, src1, dst2, src2 = in.DstBaseR, c.base, in.DstBndR, c.bound
+					dst1, src1, dst2, src2 = base, c.base, bnd, c.bound
 					replaced = true
 				}
 				if replaced {
@@ -558,14 +465,13 @@ func CSEMetaLoads(f *ir.Func) int {
 						ir.Inst{Kind: ir.KMov, Dst: dst1, A: ir.R(src1)},
 						ir.Inst{Kind: ir.KMov, Dst: dst2, A: ir.R(src2)})
 				}
-				// Whether merged or not, DstBaseR/DstBndR were just
+				// Whether merged or not, base and bound were just
 				// (re)defined: evict any entry reading them, then cache
 				// the freshest copy of this address's metadata — unless
 				// the load clobbered its own address register.
-				evict(in.DstBaseR)
-				evict(in.DstBndR)
-				if !mentionsReg(in.A, in.DstBaseR) && !mentionsReg(in.A, in.DstBndR) {
-					avail[in.A] = cached{in.DstBaseR, in.DstBndR}
+				in.Defs(evict)
+				if !mentionsReg(in.A, base) && !mentionsReg(in.A, bnd) {
+					avail[in.A] = cached{base, bnd}
 				}
 				if replaced {
 					merged++
@@ -574,7 +480,7 @@ func CSEMetaLoads(f *ir.Func) int {
 			case ir.KMetaStore, ir.KMetaClear, ir.KCall:
 				avail = make(map[ir.Value]cached)
 			default:
-				writtenRegs(in, evict)
+				in.Defs(evict)
 			}
 			if out != nil {
 				out = append(out, *in)

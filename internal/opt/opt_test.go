@@ -95,7 +95,7 @@ func TestDeadCodeElim(t *testing.T) {
 func TestDCEKeepsSideEffects(t *testing.T) {
 	f := buildFunc(2,
 		ir.Inst{Kind: ir.KLoad, Dst: 0, A: ir.GV("g", 0), Mem: ir.MemI32},
-		ir.Inst{Kind: ir.KCall, Dst: 1, Callee: ir.FV("rand"), DstBase: ir.NoReg, DstBound: ir.NoReg},
+		ir.Inst{Kind: ir.KCall, Dst: 1, Callee: ir.FV("rand")},
 	)
 	if n := DeadCodeElim(f); n != 0 {
 		t.Fatalf("removed %d side-effecting insts", n)
@@ -105,7 +105,7 @@ func TestDCEKeepsSideEffects(t *testing.T) {
 func TestEliminateRedundantChecks(t *testing.T) {
 	mk := func() *ir.Func {
 		return buildFunc(3,
-			ir.Inst{Kind: ir.KCheck, A: ir.R(0), Base: ir.R(1), Bound: ir.R(2),
+			ir.Inst{Kind: ir.KCheck, A: ir.R(0), Meta: [4]ir.Value{ir.R(1), ir.R(2)},
 				AccessSize: 4, CheckK: ir.CheckLoad},
 			ir.Inst{Kind: ir.KLoad, Dst: 0, A: ir.R(0), Mem: ir.MemI32},
 		)
@@ -114,8 +114,8 @@ func TestEliminateRedundantChecks(t *testing.T) {
 	// between WRITES r0, which invalidates. Use a separate dst.
 	f := mk()
 	f.Blocks[0].Insts = []ir.Inst{
-		{Kind: ir.KCheck, A: ir.R(0), Base: ir.R(1), Bound: ir.R(2), AccessSize: 4, CheckK: ir.CheckLoad},
-		{Kind: ir.KCheck, A: ir.R(0), Base: ir.R(1), Bound: ir.R(2), AccessSize: 4, CheckK: ir.CheckLoad},
+		{Kind: ir.KCheck, A: ir.R(0), Meta: [4]ir.Value{ir.R(1), ir.R(2)}, AccessSize: 4, CheckK: ir.CheckLoad},
+		{Kind: ir.KCheck, A: ir.R(0), Meta: [4]ir.Value{ir.R(1), ir.R(2)}, AccessSize: 4, CheckK: ir.CheckLoad},
 		{Kind: ir.KRet},
 	}
 	if n := EliminateRedundantChecks(f); n != 1 {
@@ -125,9 +125,9 @@ func TestEliminateRedundantChecks(t *testing.T) {
 	// A write to the checked register between checks blocks elimination.
 	f = mk()
 	f.Blocks[0].Insts = []ir.Inst{
-		{Kind: ir.KCheck, A: ir.R(0), Base: ir.R(1), Bound: ir.R(2), AccessSize: 4, CheckK: ir.CheckLoad},
+		{Kind: ir.KCheck, A: ir.R(0), Meta: [4]ir.Value{ir.R(1), ir.R(2)}, AccessSize: 4, CheckK: ir.CheckLoad},
 		{Kind: ir.KGEP, Dst: 0, A: ir.R(0), B: ir.CI(1), Size: 4},
-		{Kind: ir.KCheck, A: ir.R(0), Base: ir.R(1), Bound: ir.R(2), AccessSize: 4, CheckK: ir.CheckLoad},
+		{Kind: ir.KCheck, A: ir.R(0), Meta: [4]ir.Value{ir.R(1), ir.R(2)}, AccessSize: 4, CheckK: ir.CheckLoad},
 		{Kind: ir.KRet},
 	}
 	if n := EliminateRedundantChecks(f); n != 0 {
@@ -137,8 +137,8 @@ func TestEliminateRedundantChecks(t *testing.T) {
 	// Different access sizes are different checks.
 	f = mk()
 	f.Blocks[0].Insts = []ir.Inst{
-		{Kind: ir.KCheck, A: ir.R(0), Base: ir.R(1), Bound: ir.R(2), AccessSize: 4, CheckK: ir.CheckLoad},
-		{Kind: ir.KCheck, A: ir.R(0), Base: ir.R(1), Bound: ir.R(2), AccessSize: 8, CheckK: ir.CheckLoad},
+		{Kind: ir.KCheck, A: ir.R(0), Meta: [4]ir.Value{ir.R(1), ir.R(2)}, AccessSize: 4, CheckK: ir.CheckLoad},
+		{Kind: ir.KCheck, A: ir.R(0), Meta: [4]ir.Value{ir.R(1), ir.R(2)}, AccessSize: 8, CheckK: ir.CheckLoad},
 		{Kind: ir.KRet},
 	}
 	if n := EliminateRedundantChecks(f); n != 0 {
@@ -152,8 +152,8 @@ func TestCSEMetaLoads(t *testing.T) {
 		f.NewReg(ir.ClassPtr)
 	}
 	f.Blocks = []*ir.Block{{Insts: []ir.Inst{
-		{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 1, DstBndR: 2},
-		{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 3, DstBndR: 4},
+		{Kind: ir.KMetaLoad, A: ir.R(0), MetaDst: [4]ir.Reg{1, 2}},
+		{Kind: ir.KMetaLoad, A: ir.R(0), MetaDst: [4]ir.Reg{3, 4}},
 		{Kind: ir.KRet},
 	}}}
 	if n := CSEMetaLoads(f); n != 1 {
@@ -167,9 +167,9 @@ func TestCSEMetaLoads(t *testing.T) {
 
 	// A metadata store in between invalidates.
 	f.Blocks = []*ir.Block{{Insts: []ir.Inst{
-		{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 1, DstBndR: 2},
-		{Kind: ir.KMetaStore, A: ir.R(5), SrcBase: ir.R(1), SrcBound: ir.R(2)},
-		{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 3, DstBndR: 4},
+		{Kind: ir.KMetaLoad, A: ir.R(0), MetaDst: [4]ir.Reg{1, 2}},
+		{Kind: ir.KMetaStore, A: ir.R(5), Meta: [4]ir.Value{ir.R(1), ir.R(2)}},
+		{Kind: ir.KMetaLoad, A: ir.R(0), MetaDst: [4]ir.Reg{3, 4}},
 		{Kind: ir.KRet},
 	}}}
 	if n := CSEMetaLoads(f); n != 0 {
@@ -185,14 +185,14 @@ func TestCSEMetaLoadsKeepsUnmergedBlockArray(t *testing.T) {
 		f.NewReg(ir.ClassPtr)
 	}
 	merges := []ir.Inst{
-		{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 1, DstBndR: 2},
-		{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 3, DstBndR: 4},
+		{Kind: ir.KMetaLoad, A: ir.R(0), MetaDst: [4]ir.Reg{1, 2}},
+		{Kind: ir.KMetaLoad, A: ir.R(0), MetaDst: [4]ir.Reg{3, 4}},
 		{Kind: ir.KBr, Target: 1},
 	}
 	keeps := []ir.Inst{
-		{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 1, DstBndR: 2},
-		{Kind: ir.KMetaStore, A: ir.R(5), SrcBase: ir.R(1), SrcBound: ir.R(2)},
-		{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 3, DstBndR: 4},
+		{Kind: ir.KMetaLoad, A: ir.R(0), MetaDst: [4]ir.Reg{1, 2}},
+		{Kind: ir.KMetaStore, A: ir.R(5), Meta: [4]ir.Value{ir.R(1), ir.R(2)}},
+		{Kind: ir.KMetaLoad, A: ir.R(0), MetaDst: [4]ir.Reg{3, 4}},
 		{Kind: ir.KRet},
 	}
 	f.Blocks = []*ir.Block{{Insts: merges}, {Insts: keeps}}

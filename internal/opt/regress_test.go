@@ -12,11 +12,11 @@ import (
 // unsoundly deleted.
 func TestCheckElimKilledByMetaLoadDef(t *testing.T) {
 	f := buildFunc(5,
-		ir.Inst{Kind: ir.KCheck, A: ir.R(0), Base: ir.R(1), Bound: ir.R(2),
+		ir.Inst{Kind: ir.KCheck, A: ir.R(0), Meta: [4]ir.Value{ir.R(1), ir.R(2)},
 			AccessSize: 4, CheckK: ir.CheckLoad},
 		// Overwrites r1/r2 — the base and bound of the cached check.
-		ir.Inst{Kind: ir.KMetaLoad, A: ir.R(3), DstBaseR: 1, DstBndR: 2},
-		ir.Inst{Kind: ir.KCheck, A: ir.R(0), Base: ir.R(1), Bound: ir.R(2),
+		ir.Inst{Kind: ir.KMetaLoad, A: ir.R(3), MetaDst: [4]ir.Reg{1, 2}},
+		ir.Inst{Kind: ir.KCheck, A: ir.R(0), Meta: [4]ir.Value{ir.R(1), ir.R(2)},
 			AccessSize: 4, CheckK: ir.CheckLoad},
 	)
 	if n := EliminateRedundantChecks(f); n != 0 {
@@ -24,18 +24,18 @@ func TestCheckElimKilledByMetaLoadDef(t *testing.T) {
 	}
 }
 
-// Regression (same root cause): a pointer-returning call's DstBase and
-// DstBound are definitions too.
+// Regression (same root cause): a pointer-returning call's MetaDst
+// registers are definitions too.
 func TestCheckElimKilledByCallMetaDef(t *testing.T) {
 	f := buildFunc(6,
-		ir.Inst{Kind: ir.KCheck, A: ir.R(0), Base: ir.R(1), Bound: ir.R(2),
+		ir.Inst{Kind: ir.KCheck, A: ir.R(0), Meta: [4]ir.Value{ir.R(1), ir.R(2)},
 			AccessSize: 8, CheckK: ir.CheckLoad},
-		ir.Inst{Kind: ir.KCall, Dst: 3, Callee: ir.FV("mk"), DstBase: 1, DstBound: 2},
-		ir.Inst{Kind: ir.KCheck, A: ir.R(0), Base: ir.R(1), Bound: ir.R(2),
+		ir.Inst{Kind: ir.KCall, Dst: 3, Callee: ir.FV("mk"), MetaDst: [4]ir.Reg{1, 2}, RetMetaValid: true},
+		ir.Inst{Kind: ir.KCheck, A: ir.R(0), Meta: [4]ir.Value{ir.R(1), ir.R(2)},
 			AccessSize: 8, CheckK: ir.CheckLoad},
 	)
 	if n := EliminateRedundantChecks(f); n != 0 {
-		t.Fatalf("removed %d checks across a call writing DstBase/DstBound", n)
+		t.Fatalf("removed %d checks across a call writing its MetaDst", n)
 	}
 }
 
@@ -45,11 +45,11 @@ func TestCheckElimKilledByCallMetaDef(t *testing.T) {
 func TestCheckElimInvalidatedBySetjmp(t *testing.T) {
 	for _, name := range []string{"setjmp", "_setjmp"} {
 		f := buildFunc(4,
-			ir.Inst{Kind: ir.KCheck, A: ir.R(0), Base: ir.R(1), Bound: ir.R(2),
+			ir.Inst{Kind: ir.KCheck, A: ir.R(0), Meta: [4]ir.Value{ir.R(1), ir.R(2)},
 				AccessSize: 4, CheckK: ir.CheckLoad},
 			ir.Inst{Kind: ir.KCall, Dst: 3, Callee: ir.FV(name),
-				Args: []ir.Value{ir.R(0)}, DstBase: ir.NoReg, DstBound: ir.NoReg},
-			ir.Inst{Kind: ir.KCheck, A: ir.R(0), Base: ir.R(1), Bound: ir.R(2),
+				Args: []ir.Value{ir.R(0)}},
+			ir.Inst{Kind: ir.KCheck, A: ir.R(0), Meta: [4]ir.Value{ir.R(1), ir.R(2)},
 				AccessSize: 4, CheckK: ir.CheckLoad},
 		)
 		if n := EliminateRedundantChecks(f); n != 0 {
@@ -68,11 +68,11 @@ func TestCSEMetaLoadsEvictsClobberedEntry(t *testing.T) {
 		f.NewReg(ir.ClassPtr)
 	}
 	f.Blocks = []*ir.Block{{Insts: []ir.Inst{
-		{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 1, DstBndR: 2},
+		{Kind: ir.KMetaLoad, A: ir.R(0), MetaDst: [4]ir.Reg{1, 2}},
 		// Different address, clobbers r1: avail[r0] is now stale.
-		{Kind: ir.KMetaLoad, A: ir.R(5), DstBaseR: 1, DstBndR: 3},
+		{Kind: ir.KMetaLoad, A: ir.R(5), MetaDst: [4]ir.Reg{1, 3}},
 		// Must NOT be merged from the stale {r1, r2} pair.
-		{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 6, DstBndR: 7},
+		{Kind: ir.KMetaLoad, A: ir.R(0), MetaDst: [4]ir.Reg{6, 7}},
 		{Kind: ir.KRet},
 	}}}
 	if n := CSEMetaLoads(f); n != 0 {
@@ -96,10 +96,10 @@ func TestCSEMetaLoadsEvictsClobberedAddress(t *testing.T) {
 		f.NewReg(ir.ClassPtr)
 	}
 	f.Blocks = []*ir.Block{{Insts: []ir.Inst{
-		{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 1, DstBndR: 2},
+		{Kind: ir.KMetaLoad, A: ir.R(0), MetaDst: [4]ir.Reg{1, 2}},
 		// Clobbers r0, the cached key's address register.
-		{Kind: ir.KMetaLoad, A: ir.R(4), DstBaseR: 0, DstBndR: 5},
-		{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 6, DstBndR: 7},
+		{Kind: ir.KMetaLoad, A: ir.R(4), MetaDst: [4]ir.Reg{0, 5}},
+		{Kind: ir.KMetaLoad, A: ir.R(0), MetaDst: [4]ir.Reg{6, 7}},
 		{Kind: ir.KRet},
 	}}}
 	if n := CSEMetaLoads(f); n != 0 {
@@ -116,9 +116,9 @@ func TestCSEMetaLoadsMovOrdering(t *testing.T) {
 		f.NewReg(ir.ClassPtr)
 	}
 	f.Blocks = []*ir.Block{{Insts: []ir.Inst{
-		{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 1, DstBndR: 2},
-		// DstBaseR == cached bound (r2): the bound mov must come first.
-		{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 2, DstBndR: 3},
+		{Kind: ir.KMetaLoad, A: ir.R(0), MetaDst: [4]ir.Reg{1, 2}},
+		// MetaDst[0] == cached bound (r2): the bound mov must come first.
+		{Kind: ir.KMetaLoad, A: ir.R(0), MetaDst: [4]ir.Reg{2, 3}},
 		{Kind: ir.KRet},
 	}}}
 	if n := CSEMetaLoads(f); n != 1 {
@@ -140,8 +140,8 @@ func TestCSEMetaLoadsSwappedPairNotMerged(t *testing.T) {
 		f.NewReg(ir.ClassPtr)
 	}
 	f.Blocks = []*ir.Block{{Insts: []ir.Inst{
-		{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 1, DstBndR: 2},
-		{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 2, DstBndR: 1},
+		{Kind: ir.KMetaLoad, A: ir.R(0), MetaDst: [4]ir.Reg{1, 2}},
+		{Kind: ir.KMetaLoad, A: ir.R(0), MetaDst: [4]ir.Reg{2, 1}},
 		{Kind: ir.KRet},
 	}}}
 	if n := CSEMetaLoads(f); n != 0 {
@@ -191,8 +191,8 @@ func TestDeadMetaLoadElim(t *testing.T) {
 			f.NewReg(ir.ClassPtr)
 		}
 		f.Blocks = []*ir.Block{{Insts: []ir.Inst{
-			{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 1, DstBndR: 2}, // dead
-			{Kind: ir.KMetaLoad, A: ir.R(0), DstBaseR: 3, DstBndR: 2}, // r3 read below
+			{Kind: ir.KMetaLoad, A: ir.R(0), MetaDst: [4]ir.Reg{1, 2}}, // dead
+			{Kind: ir.KMetaLoad, A: ir.R(0), MetaDst: [4]ir.Reg{3, 2}}, // r3 read below
 			{Kind: ir.KStore, A: ir.GV("g", 0), B: ir.R(3), Mem: ir.MemI64},
 			{Kind: ir.KRet},
 		}}}
@@ -203,7 +203,7 @@ func TestDeadMetaLoadElim(t *testing.T) {
 	if removed != 0 || deadML != 1 {
 		t.Fatalf("removed=%d deadML=%d, want 0/1", removed, deadML)
 	}
-	if f.Blocks[0].Insts[0].Kind != ir.KMetaLoad || f.Blocks[0].Insts[0].DstBaseR != 3 {
+	if f.Blocks[0].Insts[0].Kind != ir.KMetaLoad || f.Blocks[0].Insts[0].MetaDst[0] != 3 {
 		t.Fatalf("wrong metaload removed: %v", f.Blocks[0].Insts[0].String())
 	}
 	// Local-only mode keeps every metaload.

@@ -69,13 +69,13 @@ func benchLoopModule(iters int64) *ir.Module {
 			{Kind: ir.KBin, Dst: rt, Op: ir.OpAnd, A: ir.R(r0), B: ir.CI(7)},
 			{Kind: ir.KGEP, Dst: rp, A: ir.GV("g", 0), B: ir.R(rt), Size: 8},
 			{Kind: ir.KCheck, CheckK: ir.CheckLoad, A: ir.R(rp),
-				Base: ir.GV("g", 0), Bound: ir.GV("g", 64), AccessSize: 8},
+				Meta: [4]ir.Value{ir.GV("g", 0), ir.GV("g", 64)}, AccessSize: 8},
 			{Kind: ir.KLoad, Dst: rv, A: ir.R(rp), Mem: ir.MemI64},
 			{Kind: ir.KBin, Dst: r1, Op: ir.OpAdd, A: ir.R(r1), B: ir.R(rv)},
 			{Kind: ir.KBin, Dst: rv, Op: ir.OpAdd, A: ir.R(rv), B: ir.CI(1)},
 			{Kind: ir.KGEP, Dst: rp, A: ir.GV("g", 0), B: ir.R(rt), Size: 8},
 			{Kind: ir.KCheck, CheckK: ir.CheckStore, A: ir.R(rp),
-				Base: ir.GV("g", 0), Bound: ir.GV("g", 64), AccessSize: 8},
+				Meta: [4]ir.Value{ir.GV("g", 0), ir.GV("g", 64)}, AccessSize: 8},
 			{Kind: ir.KStore, A: ir.R(rp), B: ir.R(rv), Mem: ir.MemI64},
 			{Kind: ir.KBin, Dst: r0, Op: ir.OpAdd, A: ir.R(r0), B: ir.CI(1)},
 			{Kind: ir.KBr, Target: 1},
@@ -117,7 +117,6 @@ func callLoopModule(iters int64) *ir.Module {
 		}},
 		{Insts: []ir.Inst{
 			{Kind: ir.KCall, Callee: ir.FV("leaf"), Dst: r2,
-				DstBase: ir.NoReg, DstBound: ir.NoReg,
 				Args: []ir.Value{ir.R(r0), ir.CI(7)}},
 			{Kind: ir.KBin, Dst: r1, Op: ir.OpAdd, A: ir.R(r1), B: ir.R(r2)},
 			{Kind: ir.KBin, Dst: r0, Op: ir.OpAdd, A: ir.R(r0), B: ir.CI(1)},
@@ -174,10 +173,9 @@ func indirectCallLoopModule(iters int64) *ir.Module {
 		}},
 		{Insts: []ir.Inst{
 			{Kind: ir.KCall, Callee: ir.R(rp), Dst: r2,
-				DstBase: ir.NoReg, DstBound: ir.NoReg,
 				Args: []ir.Value{ir.R(r0), ir.CI(0x100)},
 				Shadow: []ir.ShadowSlot{
-					{Arg: 1, Base: ir.CI(0x100), Bound: ir.CI(0x140)},
+					{Arg: 1, Meta: [4]ir.Value{ir.CI(0x100), ir.CI(0x140)}},
 				}},
 			{Kind: ir.KBin, Dst: r1, Op: ir.OpAdd, A: ir.R(r1), B: ir.R(r2)},
 			{Kind: ir.KBin, Dst: r0, Op: ir.OpAdd, A: ir.R(r0), B: ir.CI(1)},
@@ -210,7 +208,7 @@ func metaLoadModule(iters, stride, window int64) *ir.Module {
 	f.Blocks = []*ir.Block{
 		{Insts: []ir.Inst{
 			{Kind: ir.KConst, Dst: r0, A: ir.CI(0)},
-			{Kind: ir.KMetaStore, A: ir.GV("g", 0), SrcBase: ir.CI(16), SrcBound: ir.CI(32)},
+			{Kind: ir.KMetaStore, A: ir.GV("g", 0), Meta: [4]ir.Value{ir.CI(16), ir.CI(32)}},
 			{Kind: ir.KBr, Target: 1},
 		}},
 		{Insts: []ir.Inst{
@@ -221,7 +219,7 @@ func metaLoadModule(iters, stride, window int64) *ir.Module {
 			{Kind: ir.KBin, Dst: rt, Op: ir.OpMul, A: ir.R(r0), B: ir.CI(stride)},
 			{Kind: ir.KBin, Dst: rt, Op: ir.OpAnd, A: ir.R(rt), B: ir.CI(window - 1)},
 			{Kind: ir.KGEP, Dst: rp, A: ir.GV("g", 0), B: ir.R(rt), Size: 1},
-			{Kind: ir.KMetaLoad, A: ir.R(rp), DstBaseR: rb, DstBndR: re},
+			{Kind: ir.KMetaLoad, A: ir.R(rp), MetaDst: [4]ir.Reg{rb, re}},
 			{Kind: ir.KBin, Dst: r0, Op: ir.OpAdd, A: ir.R(r0), B: ir.CI(1)},
 			{Kind: ir.KBr, Target: 1},
 		}},

@@ -398,26 +398,18 @@ func (dec *decoder) decodeInst(in *ir.Inst, bi, ii int) dinst {
 
 	case ir.KCheck:
 		a, okA := dec.operand(in.A)
-		base, okB := dec.operand(in.Base)
-		bnd, okC := dec.operand(in.Bound)
-		if !okA || !okB || !okC {
+		m, okM := dec.checkMeta(in)
+		if !okA || !okM {
 			return bad()
 		}
-		d.a, d.base, d.bnd = a, base, bnd
+		d.a, d.base, d.bnd = a, m[0], m[1]
 		d.checkK = in.CheckK
 		if in.CheckK == ir.CheckCall {
 			d.op = dCheckCall
 		} else {
 			d.op = dCheck
 			d.asize = uint64(in.AccessSize)
-			if in.TMeta {
-				key, okK := dec.operand(in.Key)
-				lock, okL := dec.operand(in.Lock)
-				if !okK || !okL {
-					return bad()
-				}
-				d.tmeta, d.key, d.lock = true, key, lock
-			}
+			d.tmeta, d.key, d.lock = in.TMeta, m[2], m[3]
 		}
 
 	case ir.KMetaLoad:
@@ -426,32 +418,20 @@ func (dec *decoder) decodeInst(in *ir.Inst, bi, ii int) dinst {
 			return bad()
 		}
 		d.op, d.a = dMetaLoad, a
-		d.dst, d.dst2 = in.DstBaseR, in.DstBndR
-		d.dst3, d.dst4 = ir.NoReg, ir.NoReg
-		if in.TMeta {
-			d.dst3, d.dst4 = in.DstKeyR, in.DstLockR
-		}
+		d.dst, d.dst2, d.dst3, d.dst4 = metaDsts(in)
 
 	case ir.KMetaStore:
 		a, okA := dec.operand(in.A)
-		base, okB := dec.operand(in.SrcBase)
-		bnd, okC := dec.operand(in.SrcBound)
-		if !okA || !okB || !okC {
+		m, okM := dec.metaTuple(&in.Meta, in.MetaWords())
+		if !okA || !okM {
 			return bad()
 		}
-		d.op, d.a, d.base, d.bnd = dMetaStore, a, base, bnd
-		if in.TMeta {
-			key, okK := dec.operand(in.SrcKey)
-			lock, okL := dec.operand(in.SrcLock)
-			if !okK || !okL {
-				return bad()
-			}
-			d.tmeta, d.key, d.lock = true, key, lock
-		}
+		d.op, d.a = dMetaStore, a
+		d.base, d.bnd, d.tmeta, d.key, d.lock = m[0], m[1], in.TMeta, m[2], m[3]
 
 	case ir.KMetaClear:
 		a, okA := dec.operand(in.A)
-		b, okB := dec.operand(in.MemSize)
+		b, okB := dec.operand(in.B)
 		if !okA || !okB {
 			return bad()
 		}
@@ -484,22 +464,14 @@ func (dec *decoder) decodeInst(in *ir.Inst, bi, ii int) dinst {
 		}
 		if len(in.Shadow) > 0 {
 			d.shadow = make([]dshadow, len(in.Shadow))
-			for i, s := range in.Shadow {
-				base, okB := dec.operand(s.Base)
-				bnd, okE := dec.operand(s.Bound)
-				if !okB || !okE {
+			for i := range in.Shadow {
+				s := &in.Shadow[i]
+				m, ok := dec.metaTuple(&s.Meta, in.MetaWords())
+				if !ok {
 					return bad()
 				}
-				ds := dshadow{arg: int32(s.Arg), base: base, bnd: bnd}
-				if s.Temporal {
-					key, okK := dec.operand(s.Key)
-					lock, okL := dec.operand(s.Lock)
-					if !okK || !okL {
-						return bad()
-					}
-					ds.tmeta, ds.key, ds.lock = true, key, lock
-				}
-				d.shadow[i] = ds
+				d.shadow[i] = dshadow{arg: int32(s.Arg), base: m[0], bnd: m[1],
+					tmeta: in.TMeta, key: m[2], lock: m[3]}
 			}
 		}
 		switch in.Callee.Kind {
@@ -531,9 +503,8 @@ func (dec *decoder) curBlocks() []*ir.Block { return dec.cur.Blocks }
 func (dec *decoder) fuseGEPCheckAccess(gep, chk, acc *ir.Inst, bi, ii int) (dinst, bool) {
 	a, okA := dec.operand(gep.A)
 	b, okB := dec.operand(gep.B)
-	base, okC := dec.operand(chk.Base)
-	bnd, okD := dec.operand(chk.Bound)
-	if !okA || !okB || !okC || !okD {
+	m, okM := dec.checkMeta(chk)
+	if !okA || !okB || !okM {
 		return dinst{}, false
 	}
 	d := dinst{
@@ -541,16 +512,9 @@ func (dec *decoder) fuseGEPCheckAccess(gep, chk, acc *ir.Inst, bi, ii int) (dins
 		src:    gep, blk: int32(bi), ip: int32(ii),
 		a: a, b: b, dst: gep.Dst,
 		size: gep.Size, off: gep.C.Int,
-		base: base, bnd: bnd, asize: uint64(chk.AccessSize), checkK: chk.CheckK,
+		base: m[0], bnd: m[1], asize: uint64(chk.AccessSize), checkK: chk.CheckK,
+		tmeta: chk.TMeta, key: m[2], lock: m[3],
 		mem: acc.Mem,
-	}
-	if chk.TMeta {
-		key, okK := dec.operand(chk.Key)
-		lock, okL := dec.operand(chk.Lock)
-		if !okK || !okL {
-			return dinst{}, false
-		}
-		d.tmeta, d.key, d.lock = true, key, lock
 	}
 	if acc.Kind == ir.KLoad {
 		d.op = dGEPCheckLoad
@@ -569,30 +533,49 @@ func (dec *decoder) fuseGEPCheckAccess(gep, chk, acc *ir.Inst, bi, ii int) (dins
 
 func (dec *decoder) fuseCheckMetaLoad(chk, ml *ir.Inst, bi, ii int) (dinst, bool) {
 	a, okA := dec.operand(chk.A)
-	base, okB := dec.operand(chk.Base)
-	bnd, okC := dec.operand(chk.Bound)
+	m, okM := dec.checkMeta(chk)
 	addr, okD := dec.operand(ml.A)
-	if !okA || !okB || !okC || !okD {
+	if !okA || !okM || !okD {
 		return dinst{}, false
 	}
 	d := dinst{
 		op: dCheckMetaLoad, nsteps: 2,
 		src: chk, blk: int32(bi), ip: int32(ii),
-		a: a, base: base, bnd: bnd, asize: uint64(chk.AccessSize), checkK: chk.CheckK,
-		b:   addr,
-		dst: ml.DstBaseR, dst2: ml.DstBndR,
-		dst3: ir.NoReg, dst4: ir.NoReg,
+		a: a, base: m[0], bnd: m[1], asize: uint64(chk.AccessSize), checkK: chk.CheckK,
+		tmeta: chk.TMeta, key: m[2], lock: m[3],
+		b: addr,
 	}
-	if chk.TMeta {
-		key, okK := dec.operand(chk.Key)
-		lock, okL := dec.operand(chk.Lock)
-		if !okK || !okL {
-			return dinst{}, false
-		}
-		d.tmeta, d.key, d.lock = true, key, lock
-	}
-	if ml.TMeta {
-		d.dst3, d.dst4 = ml.DstKeyR, ml.DstLockR
-	}
+	d.dst, d.dst2, d.dst3, d.dst4 = metaDsts(ml)
 	return d, true
+}
+
+// metaTuple pre-resolves the first words of a metadata tuple (base,
+// bound, then key and lock); the words past them stay zero.
+func (dec *decoder) metaTuple(m *[4]ir.Value, words int) (t [4]dOperand, ok bool) {
+	for w := range words {
+		if t[w], ok = dec.operand(m[w]); !ok {
+			return t, false
+		}
+	}
+	return t, true
+}
+
+// checkMeta pre-resolves a check's tuple. A function-pointer check is
+// spatial only: it never carries key and lock.
+func (dec *decoder) checkMeta(chk *ir.Inst) ([4]dOperand, bool) {
+	words := chk.MetaWords()
+	if chk.CheckK == ir.CheckCall {
+		words = 2
+	}
+	return dec.metaTuple(&chk.Meta, words)
+}
+
+// metaDsts returns a metadata load's destination registers; key and
+// lock are NoReg unless the load is temporal.
+func metaDsts(ml *ir.Inst) (base, bnd, key, lock ir.Reg) {
+	key, lock = ir.NoReg, ir.NoReg
+	if ml.TMeta {
+		key, lock = ml.MetaDst[2], ml.MetaDst[3]
+	}
+	return ml.MetaDst[0], ml.MetaDst[1], key, lock
 }

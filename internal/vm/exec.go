@@ -182,9 +182,8 @@ func (v *VM) step() error {
 
 	case ir.KCheck:
 		ptr := v.eval(f, in.A)
-		base := v.eval(f, in.Base)
-		bound := v.eval(f, in.Bound)
 		if in.CheckK == ir.CheckCall {
+			base, bound := v.eval(f, in.Meta[0]), v.eval(f, in.Meta[1])
 			v.stats.Checks++
 			v.stats.SimInsts += v.cfg.CheckCost
 			v.stats.CallChecks++
@@ -198,45 +197,27 @@ func (v *VM) step() error {
 			f.ip++
 			return nil
 		}
-		var key, lock uint64
-		if in.TMeta {
-			key = v.eval(f, in.Key)
-			lock = v.eval(f, in.Lock)
-		}
-		if err := v.checkAccess(f.fn.Name, in.CheckK, ptr, base, bound,
-			uint64(in.AccessSize), in.TMeta, key, lock); err != nil {
+		e := v.evalMeta(f, &in.Meta, in.TMeta)
+		if err := v.checkAccess(f.fn.Name, in.CheckK, ptr, e.Base, e.Bound,
+			uint64(in.AccessSize), in.TMeta, e.Key, e.Lock); err != nil {
 			return err
 		}
 
 	case ir.KMetaLoad:
 		addr := v.eval(f, in.A)
-		e := v.fac.Lookup(addr)
-		f.regs[in.DstBaseR] = e.Base
-		f.regs[in.DstBndR] = e.Bound
-		if in.TMeta {
-			f.regs[in.DstKeyR] = e.Key
-			f.regs[in.DstLockR] = e.Lock
-		}
+		setMetaRegs(f.regs, in, v.fac.Lookup(addr))
 		v.stats.MetaLoads++
 		v.stats.SimInsts += uint64(v.fac.Costs().Lookup)
 
 	case ir.KMetaStore:
 		addr := v.eval(f, in.A)
-		ent := meta.Entry{
-			Base:  v.eval(f, in.SrcBase),
-			Bound: v.eval(f, in.SrcBound),
-		}
-		if in.TMeta {
-			ent.Key = v.eval(f, in.SrcKey)
-			ent.Lock = v.eval(f, in.SrcLock)
-		}
-		v.fac.Update(addr, ent)
+		v.fac.Update(addr, v.evalMeta(f, &in.Meta, in.TMeta))
 		v.stats.MetaStores++
 		v.stats.SimInsts += uint64(v.fac.Costs().Update)
 
 	case ir.KMetaClear:
 		addr := v.eval(f, in.A)
-		size := v.eval(f, in.MemSize)
+		size := v.eval(f, in.B)
 		v.fac.Clear(addr, size)
 		v.stats.MetaClears++
 		v.stats.SimInsts += 2 * (size/8 + 1)
@@ -271,6 +252,28 @@ func (v *VM) step() error {
 	}
 	f.ip++
 	return nil
+}
+
+// evalMeta evaluates a metadata tuple: base and bound, and key and lock
+// when temporal.
+func (v *VM) evalMeta(f *frame, m *[4]ir.Value, temporal bool) meta.Entry {
+	e := meta.Entry{Base: v.eval(f, m[0]), Bound: v.eval(f, m[1])}
+	if temporal {
+		e.Key, e.Lock = v.eval(f, m[2]), v.eval(f, m[3])
+	}
+	return e
+}
+
+// setMetaRegs writes e into the MetaDst registers of a metadata load or
+// of a pointer-returning call: base and bound, and key and lock under
+// TMeta.
+func setMetaRegs(regs []uint64, in *ir.Inst, e meta.Entry) {
+	regs[in.MetaDst[0]] = e.Base
+	regs[in.MetaDst[1]] = e.Bound
+	if in.TMeta {
+		regs[in.MetaDst[2]] = e.Key
+		regs[in.MetaDst[3]] = e.Lock
+	}
 }
 
 // checkAccess is the dereference check both engines share for load and
@@ -570,11 +573,8 @@ func execConv(a uint64, in *ir.Inst) uint64 {
 // signature disagrees with the function actually reached.
 func (v *VM) execCall(f *frame, in *ir.Inst) error {
 	v.stats.Calls++
-	v.stats.SimInsts += costCall + uint64(len(in.Args)) + 2*uint64(len(in.Shadow))
-	if in.TMeta {
-		// Temporal calls push key and lock alongside each slot's bounds.
-		v.stats.SimInsts += 2 * uint64(len(in.Shadow))
-	}
+	// Each shadow slot costs one instruction per metadata word it pushes.
+	v.stats.SimInsts += costCall + uint64(len(in.Args)) + uint64(in.MetaWords()*len(in.Shadow))
 
 	args := make([]uint64, len(in.Args))
 	for i, a := range in.Args {
@@ -611,17 +611,9 @@ func (v *VM) execCall(f *frame, in *ir.Inst) error {
 
 	// Push and fill this call's shadow window in the caller's frame.
 	wbase := v.pushShadow(len(in.Args))
-	for _, s := range in.Shadow {
-		if s.Arg >= 0 && s.Arg < len(in.Args) {
-			e := meta.Entry{
-				Base:  v.eval(f, s.Base),
-				Bound: v.eval(f, s.Bound),
-			}
-			if s.Temporal {
-				e.Key = v.eval(f, s.Key)
-				e.Lock = v.eval(f, s.Lock)
-			}
-			v.shadow[wbase+1+s.Arg] = e
+	for i := range in.Shadow {
+		if s := &in.Shadow[i]; s.Arg >= 0 && s.Arg < len(in.Args) {
+			v.shadow[wbase+1+s.Arg] = v.evalMeta(f, &s.Meta, in.TMeta)
 		}
 	}
 
@@ -637,13 +629,8 @@ func (v *VM) execCall(f *frame, in *ir.Inst) error {
 		if in.Dst != ir.NoReg {
 			f.regs[in.Dst] = ret
 		}
-		if in.DstBase != ir.NoReg {
-			f.regs[in.DstBase] = retMeta.Base
-			f.regs[in.DstBound] = retMeta.Bound
-			if in.TMeta {
-				f.regs[in.DstKey] = retMeta.Key
-				f.regs[in.DstLock] = retMeta.Lock
-			}
+		if in.RetMetaValid {
+			setMetaRegs(f.regs, in, retMeta)
 		}
 		v.shadow = v.shadow[:wbase]
 		f.ip++
@@ -668,11 +655,7 @@ func (v *VM) execCall(f *frame, in *ir.Inst) error {
 		callArgs = callArgs[:callee.OrigParams]
 	}
 	f.ip++ // resume after the call upon return
-	retKey, retLock := ir.NoReg, ir.NoReg
-	if in.TMeta && in.DstBase != ir.NoReg {
-		retKey, retLock = in.DstKey, in.DstLock
-	}
-	if err := v.pushFrame(callee, callArgs, in.Dst, in.DstBase, in.DstBound, retKey, retLock); err != nil {
+	if err := v.pushFrame(callee, callArgs, in); err != nil {
 		return err
 	}
 	top := &v.stack[len(v.stack)-1]
@@ -691,21 +674,11 @@ func (v *VM) execRet(f *frame, in *ir.Inst) error {
 	}
 	if in.RetMetaValid {
 		// Return metadata travels through slot 0 of the returning
-		// frame's shadow window, never inline (paper §3.3).
-		v.stats.SimInsts += 2
-		if in.TMeta {
-			v.stats.SimInsts += 2
-		}
+		// frame's shadow window, never inline (paper §3.3): one
+		// instruction per word.
+		v.stats.SimInsts += uint64(in.MetaWords())
 		if f.shadowBase < len(v.shadow) {
-			e := meta.Entry{
-				Base:  v.eval(f, in.RetBase),
-				Bound: v.eval(f, in.RetBound),
-			}
-			if in.TMeta {
-				e.Key = v.eval(f, in.RetKey)
-				e.Lock = v.eval(f, in.RetLock)
-			}
-			v.shadow[f.shadowBase] = e
+			v.shadow[f.shadowBase] = v.evalMeta(f, &in.Meta, in.TMeta)
 		}
 	}
 	popped, err := v.popFrame()
@@ -729,20 +702,17 @@ func (v *VM) execRet(f *frame, in *ir.Inst) error {
 		return nil
 	}
 	caller := &v.stack[len(v.stack)-1]
-	if popped.retDst != ir.NoReg && in.HasVal {
-		caller.regs[popped.retDst] = retVal
-	}
-	if popped.retBase != ir.NoReg {
-		// The caller pops the return-metadata slot.
-		var e meta.Entry
-		if popped.shadowBase < len(v.shadow) {
-			e = v.shadow[popped.shadowBase]
+	if call := popped.call; call != nil {
+		if call.Dst != ir.NoReg && in.HasVal {
+			caller.regs[call.Dst] = retVal
 		}
-		caller.regs[popped.retBase] = e.Base
-		caller.regs[popped.retBound] = e.Bound
-		if popped.retKey != ir.NoReg {
-			caller.regs[popped.retKey] = e.Key
-			caller.regs[popped.retLock] = e.Lock
+		if call.RetMetaValid {
+			// The caller pops the return-metadata slot.
+			var e meta.Entry
+			if popped.shadowBase < len(v.shadow) {
+				e = v.shadow[popped.shadowBase]
+			}
+			setMetaRegs(caller.regs, call, e)
 		}
 	}
 	v.shadow = v.shadow[:popped.shadowBase]

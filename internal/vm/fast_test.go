@@ -128,14 +128,14 @@ func fusedAccessModule(iters int64) *ir.Module {
 			// Fused triple #1: load g[i].
 			{Kind: ir.KGEP, Dst: r2, A: ir.GV("g", 0), B: ir.R(r0), Size: 8},
 			{Kind: ir.KCheck, CheckK: ir.CheckLoad, A: ir.R(r2),
-				Base: ir.GV("g", 0), Bound: ir.GV("g", 64), AccessSize: 8},
+				Meta: [4]ir.Value{ir.GV("g", 0), ir.GV("g", 64)}, AccessSize: 8},
 			{Kind: ir.KLoad, Dst: r3, A: ir.R(r2), Mem: ir.MemI64},
 			{Kind: ir.KBin, Dst: r1, Op: ir.OpAdd, A: ir.R(r1), B: ir.R(r3)},
 			{Kind: ir.KBin, Dst: r3, Op: ir.OpAdd, A: ir.R(r3), B: ir.CI(5)},
 			// Fused triple #2: store g[i] back.
 			{Kind: ir.KGEP, Dst: r2, A: ir.GV("g", 0), B: ir.R(r0), Size: 8},
 			{Kind: ir.KCheck, CheckK: ir.CheckStore, A: ir.R(r2),
-				Base: ir.GV("g", 0), Bound: ir.GV("g", 64), AccessSize: 8},
+				Meta: [4]ir.Value{ir.GV("g", 0), ir.GV("g", 64)}, AccessSize: 8},
 			{Kind: ir.KStore, A: ir.R(r2), B: ir.R(r3), Mem: ir.MemI64},
 			{Kind: ir.KBin, Dst: r0, Op: ir.OpAdd, A: ir.R(r0), B: ir.CI(1)},
 			{Kind: ir.KBr, Target: 1},
@@ -206,12 +206,12 @@ func TestEngineAgreementMetaOps(t *testing.T) {
 	rb := f.NewReg(ir.ClassInt)
 	re := f.NewReg(ir.ClassInt)
 	f.Blocks = []*ir.Block{{Insts: []ir.Inst{
-		{Kind: ir.KMetaStore, A: ir.GV("p", 0), SrcBase: ir.CI(0x1000), SrcBound: ir.CI(0x1040)},
+		{Kind: ir.KMetaStore, A: ir.GV("p", 0), Meta: [4]ir.Value{ir.CI(0x1000), ir.CI(0x1040)}},
 		// Check+MetaLoad adjacency: the fused form on the fast engine.
 		{Kind: ir.KCheck, CheckK: ir.CheckLoad, A: ir.GV("p", 0),
-			Base: ir.GV("p", 0), Bound: ir.GV("p", 8), AccessSize: 8},
-		{Kind: ir.KMetaLoad, A: ir.GV("p", 0), DstBaseR: rb, DstBndR: re},
-		{Kind: ir.KMetaLoad, A: ir.GV("p", 0), DstBaseR: rb, DstBndR: re}, // repeat: cache hit
+			Meta: [4]ir.Value{ir.GV("p", 0), ir.GV("p", 8)}, AccessSize: 8},
+		{Kind: ir.KMetaLoad, A: ir.GV("p", 0), MetaDst: [4]ir.Reg{rb, re}},
+		{Kind: ir.KMetaLoad, A: ir.GV("p", 0), MetaDst: [4]ir.Reg{rb, re}}, // repeat: cache hit
 		{Kind: ir.KBin, Dst: rb, Op: ir.OpAdd, A: ir.R(rb), B: ir.R(re)},
 		{Kind: ir.KRet, HasVal: true, A: ir.R(rb)},
 	}}}
@@ -238,8 +238,7 @@ func TestEngineAgreementClockSeesBatchedSteps(t *testing.T) {
 		{Kind: ir.KConst, Dst: r0, A: ir.CI(1)},
 		{Kind: ir.KBin, Dst: r0, Op: ir.OpAdd, A: ir.R(r0), B: ir.R(r0)},
 		{Kind: ir.KBin, Dst: r0, Op: ir.OpAdd, A: ir.R(r0), B: ir.R(r0)},
-		{Kind: ir.KCall, Callee: ir.FV("clock"), Dst: r1,
-			DstBase: ir.NoReg, DstBound: ir.NoReg},
+		{Kind: ir.KCall, Callee: ir.FV("clock"), Dst: r1},
 		{Kind: ir.KRet, HasVal: true, A: ir.R(r1)},
 	}}}
 	res := requireEngineAgreement(t, buildModule(f), Config{})
@@ -282,11 +281,9 @@ func TestEngineAgreementCallsAndIndirect(t *testing.T) {
 		{Insts: []ir.Inst{
 			// Direct call, then the same leaf through a function pointer.
 			{Kind: ir.KCall, Callee: ir.FV("leaf"), Dst: r2,
-				DstBase: ir.NoReg, DstBound: ir.NoReg,
 				Args: []ir.Value{ir.R(r0), ir.CI(7)}},
 			{Kind: ir.KBin, Dst: r1, Op: ir.OpAdd, A: ir.R(r1), B: ir.R(r2)},
 			{Kind: ir.KCall, Callee: ir.R(rp), Dst: r2,
-				DstBase: ir.NoReg, DstBound: ir.NoReg,
 				Args: []ir.Value{ir.R(r0), ir.CI(9)}},
 			{Kind: ir.KBin, Dst: r1, Op: ir.OpAdd, A: ir.R(r1), B: ir.R(r2)},
 			{Kind: ir.KBin, Dst: r0, Op: ir.OpAdd, A: ir.R(r0), B: ir.CI(1)},
@@ -352,7 +349,7 @@ func setjmpModule() *ir.Module {
 	h0 := helper.NewReg(ir.ClassInt)
 	helper.Blocks = []*ir.Block{{Insts: []ir.Inst{
 		{Kind: ir.KCall, Callee: ir.FV("longjmp"),
-			Dst: ir.NoReg, DstBase: ir.NoReg, DstBound: ir.NoReg,
+			Dst:  ir.NoReg,
 			Args: []ir.Value{ir.GV("env", 0), ir.CI(42)}},
 		{Kind: ir.KConst, Dst: h0, A: ir.CI(0)},
 		{Kind: ir.KRet, HasVal: true, A: ir.R(h0)},
@@ -364,13 +361,11 @@ func setjmpModule() *ir.Module {
 	f.Blocks = []*ir.Block{
 		{Insts: []ir.Inst{
 			{Kind: ir.KCall, Callee: ir.FV("setjmp"), Dst: r0,
-				DstBase: ir.NoReg, DstBound: ir.NoReg,
 				Args: []ir.Value{ir.GV("env", 0)}},
 			{Kind: ir.KCondBr, A: ir.R(r0), Target: 2, Else: 1},
 		}},
 		{Insts: []ir.Inst{
-			{Kind: ir.KCall, Callee: ir.FV("helper"), Dst: r1,
-				DstBase: ir.NoReg, DstBound: ir.NoReg},
+			{Kind: ir.KCall, Callee: ir.FV("helper"), Dst: r1},
 			{Kind: ir.KRet, HasVal: true, A: ir.R(r1)},
 		}},
 		{Insts: []ir.Inst{
@@ -491,7 +486,7 @@ func TestFastEngineMetaCacheStats(t *testing.T) {
 	f.Blocks = []*ir.Block{
 		{Insts: []ir.Inst{
 			{Kind: ir.KConst, Dst: r0, A: ir.CI(0)},
-			{Kind: ir.KMetaStore, A: ir.GV("p", 0), SrcBase: ir.CI(16), SrcBound: ir.CI(32)},
+			{Kind: ir.KMetaStore, A: ir.GV("p", 0), Meta: [4]ir.Value{ir.CI(16), ir.CI(32)}},
 			{Kind: ir.KBr, Target: 1},
 		}},
 		{Insts: []ir.Inst{
@@ -499,7 +494,7 @@ func TestFastEngineMetaCacheStats(t *testing.T) {
 			{Kind: ir.KCondBr, A: ir.R(rc), Target: 2, Else: 3},
 		}},
 		{Insts: []ir.Inst{
-			{Kind: ir.KMetaLoad, A: ir.GV("p", 0), DstBaseR: rb, DstBndR: re},
+			{Kind: ir.KMetaLoad, A: ir.GV("p", 0), MetaDst: [4]ir.Reg{rb, re}},
 			{Kind: ir.KBin, Dst: r0, Op: ir.OpAdd, A: ir.R(r0), B: ir.CI(1)},
 			{Kind: ir.KBr, Target: 1},
 		}},
@@ -561,8 +556,7 @@ func TestWildJumpTrapCode(t *testing.T) {
 	r0 := f.NewReg(ir.ClassInt)
 	f.Blocks = []*ir.Block{{Insts: []ir.Inst{
 		{Kind: ir.KConst, Dst: rp, A: ir.CI(0xdead0)},
-		{Kind: ir.KCall, Callee: ir.R(rp), Dst: r0,
-			DstBase: ir.NoReg, DstBound: ir.NoReg},
+		{Kind: ir.KCall, Callee: ir.R(rp), Dst: r0},
 		{Kind: ir.KRet, HasVal: true, A: ir.R(r0)},
 	}}}
 	res := requireEngineAgreement(t, buildModule(f), Config{})
@@ -638,25 +632,22 @@ func TestEngineAgreementSignatureMismatchIndirect(t *testing.T) {
 		// with different widths; the dynamic callee's only pointer param
 		// is position 1 and must get the 8-wide pair, not the 256-wide.
 		{Kind: ir.KCall, Callee: ir.R(rp), Dst: r1,
-			DstBase: ir.NoReg, DstBound: ir.NoReg,
 			Args: []ir.Value{ir.CI(0x300), ir.CI(0x300)},
 			Shadow: []ir.ShadowSlot{
-				{Arg: 0, Base: ir.CI(0x100), Bound: ir.CI(0x200)},
-				{Arg: 1, Base: ir.CI(0x300), Bound: ir.CI(0x308)},
+				{Arg: 0, Meta: [4]ir.Value{ir.CI(0x100), ir.CI(0x200)}},
+				{Arg: 1, Meta: [4]ir.Value{ir.CI(0x300), ir.CI(0x308)}},
 			}},
 		// Cast-through-void site: no metadata pushed at all. Every
 		// pointer param fails closed to the zero pair.
 		{Kind: ir.KCall, Callee: ir.R(rp), Dst: r2,
-			DstBase: ir.NoReg, DstBound: ir.NoReg,
 			Args: []ir.Value{ir.CI(5), ir.CI(0x300)}},
 		{Kind: ir.KBin, Dst: r2, Op: ir.OpMul, A: ir.R(r2), B: ir.CI(100)},
 		{Kind: ir.KBin, Dst: r1, Op: ir.OpAdd, A: ir.R(r1), B: ir.R(r2)},
 		// Fewer slots than pointer params: only arg 0 carries metadata.
 		{Kind: ir.KCall, Callee: ir.FV("pair"), Dst: r2,
-			DstBase: ir.NoReg, DstBound: ir.NoReg,
 			Args: []ir.Value{ir.CI(0x400), ir.CI(0x500)},
 			Shadow: []ir.ShadowSlot{
-				{Arg: 0, Base: ir.CI(0x400), Bound: ir.CI(0x410)},
+				{Arg: 0, Meta: [4]ir.Value{ir.CI(0x400), ir.CI(0x410)}},
 			}},
 		{Kind: ir.KBin, Dst: r1, Op: ir.OpAdd, A: ir.R(r1), B: ir.R(r2)},
 		{Kind: ir.KRet, HasVal: true, A: ir.R(r1)},
@@ -695,10 +686,9 @@ func TestEngineAgreementVarargFixedAndVariadicPointer(t *testing.T) {
 	u := vsink.NewReg(ir.ClassInt)
 	vsink.ParamRegs = []ir.Reg{vp, vb, ve}
 	vsink.Blocks = []*ir.Block{{Insts: []ir.Inst{
-		{Kind: ir.KCall, Callee: ir.FV("va_start"),
-			Dst: ir.NoReg, DstBase: ir.NoReg, DstBound: ir.NoReg},
+		{Kind: ir.KCall, Callee: ir.FV("va_start"), Dst: ir.NoReg},
 		{Kind: ir.KCall, Callee: ir.FV("va_arg_ptr"),
-			Dst: q, DstBase: qb, DstBound: qe},
+			Dst: q, MetaDst: [4]ir.Reg{qb, qe}, RetMetaValid: true},
 		{Kind: ir.KBin, Dst: w, Op: ir.OpSub, A: ir.R(ve), B: ir.R(vb)},
 		{Kind: ir.KBin, Dst: u, Op: ir.OpSub, A: ir.R(qe), B: ir.R(qb)},
 		{Kind: ir.KBin, Dst: w, Op: ir.OpMul, A: ir.R(w), B: ir.CI(1000)},
@@ -713,11 +703,10 @@ func TestEngineAgreementVarargFixedAndVariadicPointer(t *testing.T) {
 		// bounds: fixed sees [0x500,0x510) (width 16), the extra sees
 		// [0x500,0x508) (width 8).
 		{Kind: ir.KCall, Callee: ir.FV("vsink"), Dst: r1,
-			DstBase: ir.NoReg, DstBound: ir.NoReg,
 			Args: []ir.Value{ir.CI(0x500), ir.CI(0x500)},
 			Shadow: []ir.ShadowSlot{
-				{Arg: 0, Base: ir.CI(0x500), Bound: ir.CI(0x510)},
-				{Arg: 1, Base: ir.CI(0x500), Bound: ir.CI(0x508)},
+				{Arg: 0, Meta: [4]ir.Value{ir.CI(0x500), ir.CI(0x510)}},
+				{Arg: 1, Meta: [4]ir.Value{ir.CI(0x500), ir.CI(0x508)}},
 			}},
 		{Kind: ir.KRet, HasVal: true, A: ir.R(r1)},
 	}}}

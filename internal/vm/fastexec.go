@@ -533,11 +533,7 @@ func (v *VM) stepLimited(f *frame, d *dinst, st *fastState) error {
 func (v *VM) execCallFast(f *frame, d *dinst, st *fastState) error {
 	in := d.src
 	st.insts++
-	st.sim += costCall + uint64(len(in.Args)) + 2*uint64(len(d.shadow))
-	if in.TMeta {
-		// Temporal calls push key and lock alongside each slot's bounds.
-		st.sim += 2 * uint64(len(d.shadow))
-	}
+	st.sim += costCall + uint64(len(in.Args)) + uint64(in.MetaWords()*len(d.shadow))
 	v.stats.Calls++
 
 	var callee *dfunc
@@ -577,21 +573,7 @@ func (v *VM) execCallFast(f *frame, d *dinst, st *fastState) error {
 			return v.doLongjmp(f, args)
 		}
 
-		wbase := v.pushShadow(len(in.Args))
-		regs := f.regs
-		for _, s := range d.shadow {
-			if int(s.arg) < len(in.Args) {
-				e := meta.Entry{
-					Base:  s.base.get(regs),
-					Bound: s.bnd.get(regs),
-				}
-				if s.tmeta {
-					e.Key = s.key.get(regs)
-					e.Lock = s.lock.get(regs)
-				}
-				v.shadow[wbase+1+int(s.arg)] = e
-			}
-		}
+		wbase := v.pushShadowFast(d, f.regs)
 		metas := v.shadow[wbase+1 : wbase+1+len(args)]
 
 		// Builtins observe v.steps (clock/time) and add their own
@@ -604,13 +586,8 @@ func (v *VM) execCallFast(f *frame, d *dinst, st *fastState) error {
 		if in.Dst != ir.NoReg {
 			f.regs[in.Dst] = ret
 		}
-		if in.DstBase != ir.NoReg {
-			f.regs[in.DstBase] = retMeta.Base
-			f.regs[in.DstBound] = retMeta.Bound
-			if in.TMeta {
-				f.regs[in.DstKey] = retMeta.Key
-				f.regs[in.DstLock] = retMeta.Lock
-			}
+		if in.RetMetaValid {
+			setMetaRegs(f.regs, in, retMeta)
 		}
 		v.shadow = v.shadow[:wbase]
 		f.fip++
@@ -622,31 +599,11 @@ func (v *VM) execCallFast(f *frame, d *dinst, st *fastState) error {
 	// parameter layout, whatever the call site's static signature was.
 	fn := callee.fn
 	nargs := len(d.args)
-	wbase := v.pushShadow(nargs)
-	{
-		regs := f.regs
-		for _, s := range d.shadow {
-			if int(s.arg) < nargs {
-				e := meta.Entry{
-					Base:  s.base.get(regs),
-					Bound: s.bnd.get(regs),
-				}
-				if s.tmeta {
-					e.Key = s.key.get(regs)
-					e.Lock = s.lock.get(regs)
-				}
-				v.shadow[wbase+1+int(s.arg)] = e
-			}
-		}
-	}
+	wbase := v.pushShadowFast(d, f.regs)
 
 	ci := len(v.stack) - 1
 	f.fip++ // resume after the call upon return
-	retKey, retLock := ir.NoReg, ir.NoReg
-	if in.TMeta && in.DstBase != ir.NoReg {
-		retKey, retLock = in.DstKey, in.DstLock
-	}
-	if err := v.pushFrame(fn, nil, in.Dst, in.DstBase, in.DstBound, retKey, retLock); err != nil {
+	if err := v.pushFrame(fn, nil, in); err != nil {
 		return err
 	}
 	// pushFrame may have grown the stack's backing array.
@@ -685,4 +642,22 @@ func (v *VM) execCallFast(f *frame, d *dinst, st *fastState) error {
 		nf.varMetas = v.shadow[wbase+1+fn.OrigParams : wbase+1+nargs]
 	}
 	return nil
+}
+
+// pushShadowFast pushes a call's shadow window and fills it from the
+// caller's registers: each slot's base and bound, and its key and lock
+// under temporal instrumentation.
+func (v *VM) pushShadowFast(d *dinst, regs []uint64) int {
+	wbase := v.pushShadow(len(d.args))
+	for i := range d.shadow {
+		s := &d.shadow[i]
+		if int(s.arg) < len(d.args) {
+			e := meta.Entry{Base: s.base.get(regs), Bound: s.bnd.get(regs)}
+			if s.tmeta {
+				e.Key, e.Lock = s.key.get(regs), s.lock.get(regs)
+			}
+			v.shadow[wbase+1+int(s.arg)] = e
+		}
+	}
+	return wbase
 }

@@ -81,7 +81,7 @@ func (v *VM) doLongjmp(f *frame, args []uint64) error {
 		// The hijacked target runs with a fresh, empty shadow window.
 		v.Hijacks = append(v.Hijacks, ControlHijack{Via: "longjmp", Target: target.Name})
 		wbase := v.pushShadow(0)
-		if err := v.pushFrame(target, nil, ir.NoReg, ir.NoReg, ir.NoReg, ir.NoReg, ir.NoReg); err != nil {
+		if err := v.pushFrame(target, nil, nil); err != nil {
 			return err
 		}
 		v.stack[len(v.stack)-1].shadowBase = wbase

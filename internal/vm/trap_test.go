@@ -110,7 +110,7 @@ func TestStackDepthTrap(t *testing.T) {
 	f := &ir.Func{Name: "main", HasRet: true, RetClass: ir.ClassInt}
 	f.NewReg(ir.ClassInt)
 	f.Blocks = []*ir.Block{{Insts: []ir.Inst{
-		{Kind: ir.KCall, Callee: ir.FV("main"), Dst: 0, DstBase: ir.NoReg, DstBound: ir.NoReg},
+		{Kind: ir.KCall, Callee: ir.FV("main"), Dst: 0},
 		{Kind: ir.KRet, HasVal: true, A: ir.R(0)},
 	}}}
 	v, err := New(buildModule(f), Config{MaxStackDepth: 64})

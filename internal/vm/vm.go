@@ -205,11 +205,10 @@ type frame struct {
 	fpEff uint64
 	block int
 	ip    int
-	// retDst is the caller register receiving the return value.
-	retDst            ir.Reg
-	retBase, retBound ir.Reg
-	retKey, retLock   ir.Reg // temporal return-metadata registers (NoReg if none)
-	token             uint64 // the return token written at call time
+	// call is the caller's call instruction, whose Dst and MetaDst
+	// receive the return value and metadata (nil for an entry frame).
+	call  *ir.Inst
+	token uint64 // the return token written at call time
 
 	// lock is this frame's temporal lock index (0 = none issued); the VM
 	// revokes it on every exit path, so pointers into the frame die with
@@ -602,7 +601,7 @@ func (v *VM) run(ctx context.Context) (int64, error) {
 	for i := range callArgs {
 		v.shadow[wbase+1+i] = callMeta[i]
 	}
-	if err := v.pushFrame(mainFn, callArgs, ir.NoReg, ir.NoReg, ir.NoReg, ir.NoReg, ir.NoReg); err != nil {
+	if err := v.pushFrame(mainFn, callArgs, nil); err != nil {
 		return -1, err
 	}
 	nf := &v.stack[len(v.stack)-1]
@@ -636,7 +635,7 @@ func (v *VM) CallFunctionContext(ctx context.Context, name string, args ...uint6
 		return -1, Classify(&RuntimeError{Msg: "vm: no function " + name})
 	}
 	wbase := v.pushShadow(len(args))
-	if err := v.pushFrame(fn, args, ir.NoReg, ir.NoReg, ir.NoReg, ir.NoReg, ir.NoReg); err != nil {
+	if err := v.pushFrame(fn, args, nil); err != nil {
 		return -1, Classify(err)
 	}
 	nf := &v.stack[len(v.stack)-1]
@@ -736,7 +735,7 @@ func (v *VM) seedShadowParams(nf *frame, nargs int) {
 // their register files are reused (the backing array keeps them), so the
 // steady-state call path allocates nothing once the deepest frame and
 // widest register file have been seen.
-func (v *VM) pushFrame(fn *ir.Func, args []uint64, retDst, retBase, retBound, retKey, retLock ir.Reg) error {
+func (v *VM) pushFrame(fn *ir.Func, args []uint64, call *ir.Inst) error {
 	if len(v.stack) >= v.maxDepth {
 		return &Trap{Code: TrapStackOverflow, Cause: &RuntimeError{Msg: fmt.Sprintf(
 			"stack depth limit (%d frames) exceeded in %s", v.maxDepth, fn.Name)}}
@@ -780,16 +779,12 @@ func (v *VM) pushFrame(fn *ir.Func, args []uint64, retDst, retBase, retBound, re
 		regs = make([]uint64, fn.NumRegs)
 	}
 	*nf = frame{
-		fn:       fn,
-		regs:     regs,
-		fp:       fp,
-		fpEff:    fp,
-		retDst:   retDst,
-		retBase:  retBase,
-		retBound: retBound,
-		retKey:   retKey,
-		retLock:  retLock,
-		token:    tok,
+		fn:    fn,
+		regs:  regs,
+		fp:    fp,
+		fpEff: fp,
+		call:  call,
+		token: tok,
 	}
 	if v.prog != nil {
 		nf.df = v.prog.funcs[fn]
@@ -850,7 +845,7 @@ func (v *VM) popFrame() (*frame, error) {
 			v.sp += frameBytes
 			v.shadow = v.shadow[:wbase]
 			hb := v.pushShadow(0)
-			if err := v.pushFrame(target, nil, ir.NoReg, ir.NoReg, ir.NoReg, ir.NoReg, ir.NoReg); err != nil {
+			if err := v.pushFrame(target, nil, nil); err != nil {
 				return nil, err
 			}
 			v.stack[len(v.stack)-1].shadowBase = hb
