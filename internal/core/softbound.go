@@ -306,7 +306,7 @@ func (x *xform) emitCheck(addr ir.Value, size int64, kind ir.CheckKind) {
 			TMeta: x.opts.Temporal, AccessSize: size, CheckK: kind})
 	case ir.VGlobal:
 		objSize, ok := x.sizes(addr.Sym)
-		if ok && addr.Off >= 0 && addr.Off+size <= objSize {
+		if ok && addr.Off() >= 0 && addr.Off()+size <= objSize {
 			return // statically in bounds
 		}
 		x.emit(ir.Inst{Kind: ir.KCheck, A: addr,

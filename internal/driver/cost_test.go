@@ -106,3 +106,36 @@ func TestCompileAllocationBound(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkExecuteFresh executes a fresh compile of each gen cell, libc
+// warm, timing only the execute: VM setup, the decode of the module's
+// own functions (libc's decode is shared per libc unit) and the run.
+// Every cell is compiled anew so nothing module-local is cached.
+func BenchmarkExecuteFresh(b *testing.B) {
+	cells := compileCells()
+	cfgs := append([]Config{DefaultConfig(ModeNone)}, engineConfigs()...)
+	for _, cfg := range cfgs {
+		name := "baseline"
+		if cfg.Mode != ModeNone {
+			name = cfg.Mode.String() + "/" + cfg.Meta.String()
+		}
+		b.Run(name, func(b *testing.B) {
+			compileCell(b, cells[0], cfg) // builds the cached libc unit
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				for _, src := range cells {
+					b.StopTimer()
+					mod, err := Compile(src, cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					if res := Execute(mod, cfg); res.Err != nil {
+						b.Fatal(res.Err)
+					}
+				}
+			}
+		})
+	}
+}

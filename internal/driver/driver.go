@@ -279,10 +279,11 @@ func CompileWithStats(sources []Source, cfg Config) (mod *ir.Module, counters me
 		}
 	}
 
-	// Link, libc first.
+	// Link, libc first, as the module's shared prefix: the VM decodes
+	// it once per libc unit, not once per module.
 	linked := ir.NewModule("a.out")
 	if lib != nil {
-		if err := linked.Link(lib.mod); err != nil {
+		if err := linked.LinkPrefix(lib.mod); err != nil {
 			return nil, counters, &CompileError{Stage: "link", Err: err}
 		}
 	}

@@ -14,6 +14,7 @@ package ir
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -40,7 +41,7 @@ func (c Class) String() string {
 }
 
 // MemType describes the width and interpretation of a memory access.
-type MemType int
+type MemType uint8
 
 // Memory access types.
 const (
@@ -87,7 +88,7 @@ func (m MemType) String() string {
 }
 
 // Op is a binary/unary arithmetic operator.
-type Op int
+type Op uint8
 
 // Operators. Signedness and width are carried by the instruction.
 const (
@@ -116,7 +117,7 @@ func (o Op) String() string {
 }
 
 // Pred is a comparison predicate.
-type Pred int
+type Pred uint8
 
 // Comparison predicates.
 const (
@@ -140,7 +141,7 @@ func (p Pred) String() string {
 }
 
 // Reg is a virtual register number. Register 0 is valid.
-type Reg int
+type Reg int32
 
 // NoReg marks an absent register operand.
 const NoReg Reg = -1
@@ -148,18 +149,18 @@ const NoReg Reg = -1
 func (r Reg) String() string { return fmt.Sprintf("%%%d", int(r)) }
 
 // Value is an instruction operand: a register, an immediate, or a symbol
-// reference.
+// reference. Int is the one 64-bit payload: an integer constant, a float
+// constant's bits (read through Float), or the byte offset added to a
+// global's address (read through Off).
 type Value struct {
-	Kind  ValueKind
-	Reg   Reg
-	Int   int64
-	Float float64
-	Sym   string // global or function name
-	Off   int64  // constant byte offset added to a symbol address
+	Kind ValueKind
+	Reg  Reg
+	Int  int64
+	Sym  string // global or function name
 }
 
 // ValueKind discriminates operand variants.
-type ValueKind int
+type ValueKind uint8
 
 // Operand kinds.
 const (
@@ -177,13 +178,20 @@ func R(r Reg) Value { return Value{Kind: VReg, Reg: r} }
 func CI(v int64) Value { return Value{Kind: VConstInt, Int: v} }
 
 // CF makes a float-constant operand.
-func CF(v float64) Value { return Value{Kind: VConstFloat, Float: v} }
+func CF(v float64) Value { return Value{Kind: VConstFloat, Int: int64(math.Float64bits(v))} }
 
 // GV makes a global-address operand.
-func GV(name string, off int64) Value { return Value{Kind: VGlobal, Sym: name, Off: off} }
+func GV(name string, off int64) Value { return Value{Kind: VGlobal, Sym: name, Int: off} }
 
 // FV makes a function-address operand.
 func FV(name string) Value { return Value{Kind: VFunc, Sym: name} }
+
+// Float returns a float constant's value.
+func (v Value) Float() float64 { return math.Float64frombits(uint64(v.Int)) }
+
+// Off returns the constant byte offset a global operand adds to the
+// global's address.
+func (v Value) Off() int64 { return v.Int }
 
 // IsReg reports whether v is the given register.
 func (v Value) IsReg() bool { return v.Kind == VReg }
@@ -195,10 +203,10 @@ func (v Value) String() string {
 	case VConstInt:
 		return fmt.Sprintf("%d", v.Int)
 	case VConstFloat:
-		return fmt.Sprintf("%g", v.Float)
+		return fmt.Sprintf("%g", v.Float())
 	case VGlobal:
-		if v.Off != 0 {
-			return fmt.Sprintf("@%s+%d", v.Sym, v.Off)
+		if v.Off() != 0 {
+			return fmt.Sprintf("@%s+%d", v.Sym, v.Off())
 		}
 		return "@" + v.Sym
 	case VFunc:
@@ -209,7 +217,7 @@ func (v Value) String() string {
 
 // CheckKind distinguishes what a Check guards, so store-only mode can
 // filter and the metrics can attribute costs.
-type CheckKind int
+type CheckKind uint8
 
 // Check kinds.
 const (
@@ -381,7 +389,7 @@ type ShadowSlot struct {
 }
 
 // InstKind discriminates instructions.
-type InstKind int
+type InstKind uint8
 
 // Instruction kinds.
 const (
@@ -540,6 +548,7 @@ type Module struct {
 	Globals []*Global
 
 	funcIdx map[string]*Func
+	prefix  *Module
 
 	decodedMu sync.Mutex
 	decoded   any
@@ -595,6 +604,24 @@ func (m *Module) GlobalByName(name string) *Global {
 	}
 	return nil
 }
+
+// LinkPrefix links p, unchanged, into the empty module m and records it
+// as m's shared prefix: p's functions and globals are m's first, the same
+// pointers. A prefix is a unit built once and linked into many modules,
+// like the cached libc unit; the VM decodes it once for all of them.
+func (m *Module) LinkPrefix(p *Module) error {
+	if len(m.Funcs) > 0 || len(m.Globals) > 0 {
+		return fmt.Errorf("link: prefix %q linked into non-empty module %q", p.Name, m.Name)
+	}
+	if err := m.Link(p); err != nil {
+		return err
+	}
+	m.prefix = p
+	return nil
+}
+
+// Prefix returns the module LinkPrefix linked into m, or nil.
+func (m *Module) Prefix() *Module { return m.prefix }
 
 // Link merges other into m. Duplicate function definitions are an error;
 // a duplicate global keeps the first definition (tentative definitions).

@@ -15,10 +15,10 @@ func TestValueConstructors(t *testing.T) {
 	if v := CI(-7); v.Kind != VConstInt || v.Int != -7 {
 		t.Errorf("CI: %+v", v)
 	}
-	if v := CF(2.5); v.Kind != VConstFloat || v.Float != 2.5 {
+	if v := CF(2.5); v.Kind != VConstFloat || v.Float() != 2.5 {
 		t.Errorf("CF: %+v", v)
 	}
-	if v := GV("g", 8); v.Kind != VGlobal || v.Sym != "g" || v.Off != 8 {
+	if v := GV("g", 8); v.Kind != VGlobal || v.Sym != "g" || v.Off() != 8 {
 		t.Errorf("GV: %+v", v)
 	}
 	if v := FV("f"); v.Kind != VFunc || v.Sym != "f" {
@@ -149,17 +149,22 @@ func TestInstStringCoverage(t *testing.T) {
 	}
 }
 
-// TestInstSize pins the size of an instruction and of a shadow slot on
-// 64-bit targets: one metadata tuple each, not a field per word.
+// TestInstSize pins the size of an operand, an instruction and a shadow
+// slot on 64-bit targets: one metadata tuple each, not a field per word,
+// and operands of one narrow kind, an int32 register, one 64-bit payload
+// and a symbol.
 func TestInstSize(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit targets")
 	}
-	if got := unsafe.Sizeof(Inst{}); got > 704 {
-		t.Errorf("sizeof(Inst) = %d, want <= 704", got)
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Errorf("sizeof(Value) = %d, want 32", got)
 	}
-	if got := unsafe.Sizeof(ShadowSlot{}); got != 232 {
-		t.Errorf("sizeof(ShadowSlot) = %d, want 232", got)
+	if got := unsafe.Sizeof(Inst{}); got > 432 {
+		t.Errorf("sizeof(Inst) = %d, want <= 432", got)
+	}
+	if got := unsafe.Sizeof(ShadowSlot{}); got != 136 {
+		t.Errorf("sizeof(ShadowSlot) = %d, want 136", got)
 	}
 }
 

@@ -31,8 +31,11 @@ type generator struct {
 
 	fn *ir.Func
 	fi *sema.FuncInfo
-	// cur is the index of the block under construction.
+	// cur is the index of the block under construction, and buf its
+	// instructions: blocks are built in one reused buffer and copied out
+	// once, by flush, when emission leaves them.
 	cur int
+	buf []ir.Inst
 
 	// regOf maps promoted symbols to their register.
 	regOf map[*sema.Symbol]ir.Reg
@@ -131,27 +134,39 @@ func memTypeOf(t *ctypes.Type) (ir.MemType, error) {
 	return ir.MemI64, fmt.Errorf("no memory type for %s", t)
 }
 
-func (g *generator) block() *ir.Block { return g.fn.Blocks[g.cur] }
-
 func (g *generator) emit(in ir.Inst) {
 	// Don't append to a block that already has a terminator; create an
 	// unreachable successor instead (dead code after return/break).
-	b := g.block()
-	if t := b.Terminator(); t != nil && t.IsTerminator() {
-		g.cur = g.fn.NewBlock("dead")
-		b = g.block()
+	if g.terminated() {
+		g.setBlock(g.fn.NewBlock("dead"))
 	}
-	b.Insts = append(b.Insts, in)
+	g.buf = append(g.buf, in)
 }
 
 func (g *generator) newReg(c ir.Class) ir.Reg { return g.fn.NewReg(c) }
 
-func (g *generator) setBlock(i int) { g.cur = i }
+// setBlock moves emission to block i, copying out the block it leaves.
+func (g *generator) setBlock(i int) {
+	g.flush()
+	g.cur = i
+}
+
+// flush appends the buffered instructions to the current block.
+func (g *generator) flush() {
+	if len(g.buf) > 0 {
+		b := g.fn.Blocks[g.cur]
+		b.Insts = append(b.Insts, g.buf...)
+		g.buf = g.buf[:0]
+	}
+}
 
 // terminated reports whether the current block already ends control flow.
 func (g *generator) terminated() bool {
-	t := g.block().Terminator()
-	return t != nil && t.IsTerminator()
+	insts := g.buf
+	if len(insts) == 0 {
+		insts = g.fn.Blocks[g.cur].Insts
+	}
+	return len(insts) > 0 && insts[len(insts)-1].IsTerminator()
 }
 
 func (g *generator) br(target int) {

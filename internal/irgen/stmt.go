@@ -55,6 +55,7 @@ func (g *generator) genFunc(fi *sema.FuncInfo) error {
 	f.OrigParams = len(f.Params)
 
 	g.cur = f.NewBlock("entry")
+	g.buf = g.buf[:0]
 
 	// Pre-create alloca slots for all locals (storage has function
 	// lifetime; initialization happens at the declaration point). Also
@@ -117,6 +118,7 @@ func (g *generator) genFunc(fi *sema.FuncInfo) error {
 	if !g.terminated() {
 		g.emitDefaultReturn()
 	}
+	g.flush()
 	// Ensure every block is terminated (label blocks never branched to,
 	// dead blocks).
 	for _, b := range f.Blocks {
@@ -668,7 +670,7 @@ func (g *generator) addrPlus(addr ir.Value, off int64) ir.Value {
 	}
 	if addr.Kind == ir.VGlobal {
 		a := addr
-		a.Off += off
+		a.Int += off
 		return a
 	}
 	r := g.newReg(ir.ClassPtr)

@@ -1,7 +1,7 @@
 package vm
 
 import (
-	"math"
+	"slices"
 
 	"softbound/internal/ir"
 )
@@ -29,7 +29,11 @@ import (
 //
 // The decoded program is immutable after construction and cached on the
 // *ir.Module (ir.Module.Decoded), so concurrent VMs — the serve compile
-// cache, the parallel bench harness — share one decode.
+// cache, the parallel bench harness — share one decode. A module linked
+// behind a shared prefix (ir.Module.LinkPrefix: the cached libc unit)
+// reuses the prefix's own cached decode, so the prefix is decoded once
+// for every module linked against it and only the functions after it
+// are decoded per module (see sharedPrefix for when that is sound).
 
 // layoutGlobals computes the deterministic global layout: align-rounded
 // offsets from GlobalBase, in declaration order. It fills addrs (and
@@ -166,6 +170,11 @@ type dfunc struct {
 // program is a decoded module.
 type program struct {
 	funcs map[*ir.Func]*dfunc
+	// free lists the symbols the module's code names but does not define:
+	// builtin callees, and any global or function address that resolved
+	// to 0. A module that defines one of them resolves it differently, so
+	// it cannot reuse this decode as its prefix.
+	free []string
 }
 
 // decoder carries the module-wide resolution context.
@@ -175,6 +184,11 @@ type decoder struct {
 	mod       *ir.Module
 	prog      *program
 	cur       *ir.Func // function being decoded (branch-target validation)
+}
+
+// decoded returns the module's cached decode, building it on first use.
+func decoded(mod *ir.Module) *program {
+	return mod.Decoded(func() any { return decodeModule(mod) }).(*program)
 }
 
 // decodeModule flattens every function of the module. It is pure with
@@ -189,15 +203,57 @@ func decodeModule(mod *ir.Module) *program {
 	}
 	layoutGlobals(mod, dec.globals, nil)
 	layoutFuncs(mod, dec.funcAddrs)
+	funcs := mod.Funcs
+	if pre := dec.sharedPrefix(); pre != nil {
+		for fn, df := range pre.funcs {
+			dec.prog.funcs[fn] = df
+		}
+		dec.prog.free = append(dec.prog.free, pre.free...)
+		funcs = funcs[len(mod.Prefix().Funcs):]
+	}
 	// Shells first, so direct-call operands can bind callees that appear
 	// later (or recursively).
-	for _, fn := range mod.Funcs {
+	for _, fn := range funcs {
 		dec.prog.funcs[fn] = &dfunc{fn: fn}
 	}
-	for _, fn := range mod.Funcs {
+	for _, fn := range funcs {
 		dec.decodeFunc(fn, dec.prog.funcs[fn])
 	}
 	return dec.prog
+}
+
+// sharedPrefix returns the decode of the module's prefix when the
+// module can reuse it unchanged, else nil. Every decoded instruction is
+// a function of the symbols it resolves, so a prefix function decodes
+// the same in the module as in the prefix when each name resolves the
+// same in both:
+//   - the module's first functions and globals are the prefix's, pointer
+//     for pointer, so they sit at the same addresses;
+//   - no later function or global defines a name the prefix defines or
+//     names without defining (a libc function calling malloc binds a
+//     user-defined malloc, not the builtin).
+func (dec *decoder) sharedPrefix() *program {
+	m, p := dec.mod, dec.mod.Prefix()
+	if p == nil || len(m.Funcs) < len(p.Funcs) || len(m.Globals) < len(p.Globals) ||
+		!slices.Equal(m.Funcs[:len(p.Funcs)], p.Funcs) ||
+		!slices.Equal(m.Globals[:len(p.Globals)], p.Globals) {
+		return nil
+	}
+	pre := decoded(p)
+	rebinds := func(name string) bool {
+		return p.Lookup(name) != nil || p.GlobalByName(name) != nil || slices.Contains(pre.free, name)
+	}
+	for _, fn := range m.Funcs[len(p.Funcs):] {
+		if rebinds(fn.Name) {
+			return nil
+		}
+	}
+	for _, g := range m.Globals[len(p.Globals):] {
+		if rebinds(g.Name) {
+			return nil
+		}
+	}
+	return pre
 }
 
 // operand pre-resolves an ir.Value; ok is false for a malformed kind.
@@ -205,16 +261,30 @@ func (dec *decoder) operand(val ir.Value) (dOperand, bool) {
 	switch val.Kind {
 	case ir.VReg:
 		return dOperand{reg: val.Reg}, true
-	case ir.VConstInt:
+	case ir.VConstInt, ir.VConstFloat: // a float constant's Int is its bits
 		return dOperand{reg: ir.NoReg, imm: uint64(val.Int)}, true
-	case ir.VConstFloat:
-		return dOperand{reg: ir.NoReg, imm: math.Float64bits(val.Float)}, true
 	case ir.VGlobal:
-		return dOperand{reg: ir.NoReg, imm: dec.globals[val.Sym] + uint64(val.Off)}, true
+		return dOperand{reg: ir.NoReg, imm: dec.symbol(dec.globals, val.Sym) + uint64(val.Off())}, true
 	case ir.VFunc:
-		return dOperand{reg: ir.NoReg, imm: dec.funcAddrs[val.Sym]}, true
+		return dOperand{reg: ir.NoReg, imm: dec.symbol(dec.funcAddrs, val.Sym)}, true
 	}
 	return dOperand{reg: ir.NoReg}, false
+}
+
+// symbol resolves a global or function address, noting a name the
+// module does not define as free.
+func (dec *decoder) symbol(addrs map[string]uint64, name string) uint64 {
+	addr, ok := addrs[name]
+	if !ok {
+		dec.noteFree(name)
+	}
+	return addr
+}
+
+func (dec *decoder) noteFree(name string) {
+	if !slices.Contains(dec.prog.free, name) {
+		dec.prog.free = append(dec.prog.free, name)
+	}
 }
 
 func isTerminator(k ir.InstKind) bool {
@@ -478,6 +548,8 @@ func (dec *decoder) decodeInst(in *ir.Inst, bi, ii int) dinst {
 		case ir.VFunc:
 			if fn := dec.mod.Lookup(in.Callee.Sym); fn != nil {
 				d.callee = dec.prog.funcs[fn]
+			} else {
+				dec.noteFree(in.Callee.Sym)
 			}
 		case ir.VReg:
 			// Indirect: resolved per call through the register.

@@ -32,12 +32,10 @@ func (v *VM) eval(f *frame, val ir.Value) uint64 {
 	switch val.Kind {
 	case ir.VReg:
 		return f.regs[val.Reg]
-	case ir.VConstInt:
+	case ir.VConstInt, ir.VConstFloat: // a float constant's Int is its bits
 		return uint64(val.Int)
-	case ir.VConstFloat:
-		return math.Float64bits(val.Float)
 	case ir.VGlobal:
-		return v.globalAddrs[val.Sym] + uint64(val.Off)
+		return v.globalAddrs[val.Sym] + uint64(val.Off())
 	case ir.VFunc:
 		return v.funcAddrs[val.Sym]
 	}

@@ -722,3 +722,39 @@ func TestEngineAgreementVarargFixedAndVariadicPointer(t *testing.T) {
 			res.code, 16*1000+8)
 	}
 }
+
+// TestEngineAgreementNegativeShadowArg passes a shadow slot for argument
+// -1, which names no argument. The reference engine skips it; the fast
+// engine used to store it one slot low, into the window's return slot,
+// so the caller read base 77 back as the return metadata of a leaf that
+// returns none.
+func TestEngineAgreementNegativeShadowArg(t *testing.T) {
+	leaf := &ir.Func{Name: "leaf", HasRet: true, RetClass: ir.ClassPtr, OrigParams: 1}
+	a := leaf.NewReg(ir.ClassInt)
+	leaf.ParamRegs = []ir.Reg{a}
+	leaf.Blocks = []*ir.Block{{Insts: []ir.Inst{
+		{Kind: ir.KRet, HasVal: true, A: ir.R(a)},
+	}}}
+
+	f := &ir.Func{Name: "main", HasRet: true, RetClass: ir.ClassInt}
+	p := f.NewReg(ir.ClassPtr)
+	pb := f.NewReg(ir.ClassPtr)
+	pe := f.NewReg(ir.ClassPtr)
+	f.Blocks = []*ir.Block{{Insts: []ir.Inst{
+		{Kind: ir.KCall, Callee: ir.FV("leaf"), Dst: p, Args: []ir.Value{ir.CI(5)},
+			Shadow:       []ir.ShadowSlot{{Arg: -1, Meta: [4]ir.Value{ir.CI(77), ir.CI(78)}}},
+			MetaDst:      [4]ir.Reg{pb, pe},
+			RetMetaValid: true},
+		{Kind: ir.KRet, HasVal: true, A: ir.R(pb)},
+	}}}
+	mod := ir.NewModule("test")
+	mod.AddFunc(f)
+	mod.AddFunc(leaf)
+	res := requireEngineAgreement(t, mod, Config{})
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if res.code != 0 {
+		t.Fatalf("exit = %d, want 0 (slot for argument -1 stored)", res.code)
+	}
+}

@@ -651,7 +651,7 @@ func (v *VM) pushShadowFast(d *dinst, regs []uint64) int {
 	wbase := v.pushShadow(len(d.args))
 	for i := range d.shadow {
 		s := &d.shadow[i]
-		if int(s.arg) < len(d.args) {
+		if s.arg >= 0 && int(s.arg) < len(d.args) {
 			e := meta.Entry{Base: s.base.get(regs), Bound: s.bnd.get(regs)}
 			if s.tmeta {
 				e.Key, e.Lock = s.key.get(regs), s.lock.get(regs)

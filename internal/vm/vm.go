@@ -394,7 +394,7 @@ func New(mod *ir.Module, cfg Config) (*VM, error) {
 	// function of the module — so the decoded form is shared across all
 	// VMs of this module via the ir-side cache.
 	if cfg.Interp != InterpRef {
-		v.prog = mod.Decoded(func() any { return decodeModule(mod) }).(*program)
+		v.prog = decoded(mod)
 		if !cfg.DisableMetaCache {
 			v.mcache = meta.NewLookupCache(v.fac)
 			v.fac = v.mcache
