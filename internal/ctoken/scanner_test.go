@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"softbound/internal/gen"
 )
 
 func kinds(t *testing.T, src string) []Kind {
@@ -227,5 +229,84 @@ func TestTokenString(t *testing.T) {
 	}
 	if !strings.Contains(toks[0].String(), "foo") {
 		t.Errorf("ident string: %q", toks[0].String())
+	}
+}
+
+// Each operator scans alone to its own kind, through the first-byte
+// table.
+func TestEveryOperatorScansAlone(t *testing.T) {
+	for _, op := range operators {
+		toks, err := ScanAll("t.c", op.text)
+		if err != nil {
+			t.Fatalf("%q: %v", op.text, err)
+		}
+		if len(toks) != 2 || toks[0].Kind != op.kind || toks[0].Text != op.text || toks[1].Kind != EOF {
+			t.Errorf("%q scans to %v", op.text, toks)
+		}
+	}
+}
+
+// Maximal munch: the longest operator at each position wins.
+func TestOperatorsMaximalMunchPinned(t *testing.T) {
+	for src, want := range map[string][]Kind{
+		"<<=":       {ShlAssign, EOF},
+		">>=":       {ShrAssign, EOF},
+		"...":       {Ellipsis, EOF},
+		"->":        {Arrow, EOF},
+		"a---b":     {Ident, Dec, Minus, Ident, EOF},
+		"x<<=y>>=z": {Ident, ShlAssign, Ident, ShrAssign, Ident, EOF},
+		"..":        {Dot, Dot, EOF},
+		"<<<=>>>":   {Shl, Le, Shr, Gt, EOF},
+		"a+++++b":   {Ident, Inc, Inc, Plus, Ident, EOF},
+		"&&&|||":    {AndAnd, Amp, OrOr, Pipe, EOF},
+		"!==->-=":   {Ne, Assign, Arrow, MinusAssign, EOF},
+	} {
+		got := kinds(t, src)
+		if len(got) != len(want) {
+			t.Errorf("%q: got %v want %v", src, got, want)
+			continue
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%q: got %v want %v", src, got, want)
+				break
+			}
+		}
+	}
+}
+
+// A byte that starts no token is reported with the same text as ever.
+func TestUnknownByteError(t *testing.T) {
+	for src, want := range map[string]string{
+		"@":        `t.c:1:1: unexpected character '@'`,
+		"a $":      `t.c:1:3: unexpected character '$'`,
+		"x;\n  `":  "t.c:2:3: unexpected character '`'",
+		"\\":       `t.c:1:1: unexpected character '\\'`,
+		"\x80":     `t.c:1:1: unexpected character '\u0080'`,
+		"int \x00": `t.c:1:5: unexpected character '\x00'`,
+	} {
+		_, err := ScanAll("t.c", src)
+		if err == nil || err.Error() != want {
+			t.Errorf("%q: error %v, want %s", src, err, want)
+		}
+	}
+}
+
+// ScanAll sizes its token slice once: scanning gen cell 1 allocates the
+// slice and one string per string literal, nothing else.
+func TestScanAllAllocatesTokensOnce(t *testing.T) {
+	src := gen.Generate(1).Source()
+	toks, err := ScanAll("main.c", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 1.0
+	for _, tok := range toks {
+		if tok.Kind == StringLit && tok.StrVal != "" {
+			want++
+		}
+	}
+	if got := testing.AllocsPerRun(20, func() { ScanAll("main.c", src) }); got > want {
+		t.Fatalf("ScanAll of gen cell 1 allocates %v times, want at most %v", got, want)
 	}
 }

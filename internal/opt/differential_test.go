@@ -191,26 +191,31 @@ func cloneModule(m *ir.Module) *ir.Module {
 		out.Globals = append(out.Globals, &cg)
 	}
 	for _, f := range m.Funcs {
-		cf := *f
-		cf.Params = append([]ir.Param(nil), f.Params...)
-		cf.ParamRegs = append([]ir.Reg(nil), f.ParamRegs...)
-		cf.RegClass = append([]ir.Class(nil), f.RegClass...)
-		cf.Allocas = append([]ir.AllocaSlot(nil), f.Allocas...)
-		cf.ClearSlots = append([]ir.AllocaSlot(nil), f.ClearSlots...)
-		cf.Blocks = nil
-		for _, blk := range f.Blocks {
-			cb := &ir.Block{Name: blk.Name}
-			for _, in := range blk.Insts {
-				ci := in
-				ci.Args = append([]ir.Value(nil), in.Args...)
-				ci.Shadow = append([]ir.ShadowSlot(nil), in.Shadow...)
-				cb.Insts = append(cb.Insts, ci)
-			}
-			cf.Blocks = append(cf.Blocks, cb)
-		}
-		out.AddFunc(&cf)
+		out.AddFunc(cloneFunc(f))
 	}
 	return out
+}
+
+// cloneFunc deep-copies a function.
+func cloneFunc(f *ir.Func) *ir.Func {
+	cf := *f
+	cf.Params = append([]ir.Param(nil), f.Params...)
+	cf.ParamRegs = append([]ir.Reg(nil), f.ParamRegs...)
+	cf.RegClass = append([]ir.Class(nil), f.RegClass...)
+	cf.Allocas = append([]ir.AllocaSlot(nil), f.Allocas...)
+	cf.ClearSlots = append([]ir.AllocaSlot(nil), f.ClearSlots...)
+	cf.Blocks = nil
+	for _, blk := range f.Blocks {
+		cb := &ir.Block{Name: blk.Name}
+		for _, in := range blk.Insts {
+			ci := in
+			ci.Args = append([]ir.Value(nil), in.Args...)
+			ci.Shadow = append([]ir.ShadowSlot(nil), in.Shadow...)
+			cb.Insts = append(cb.Insts, ci)
+		}
+		cf.Blocks = append(cf.Blocks, cb)
+	}
+	return &cf
 }
 
 // fuzzOutcome is the observable result of one run.

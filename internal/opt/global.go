@@ -9,69 +9,6 @@ import (
 	"softbound/internal/ir"
 )
 
-// availState is the set of checks known to have executed (without any
-// operand redefinition since) on every path reaching a program point.
-// nil is ⊤ ("all checks available"), used to initialize blocks
-// optimistically so facts propagate around loop back edges.
-type availState map[checkKey]bool
-
-func (s availState) clone() availState {
-	c := make(availState, len(s))
-	for k := range s {
-		c[k] = true
-	}
-	return c
-}
-
-// equal reports set equality; a nil receiver (⊤) equals only nil.
-func (s availState) equal(o availState) bool {
-	if (s == nil) != (o == nil) || len(s) != len(o) {
-		return false
-	}
-	for k := range s {
-		if !o[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// transferCheck applies one instruction to the available-check set,
-// returning the updated set (mutating s in place).
-func transferCheck(s availState, in *ir.Inst) availState {
-	switch in.Kind {
-	case ir.KCheck:
-		s[keyOf(in)] = true
-		return s
-	default:
-		if isSetjmpCall(in) {
-			// longjmp re-enters after this instruction with register
-			// state from an arbitrary later point: nothing stays known.
-			return make(availState)
-		}
-		if in.Kind == ir.KCall {
-			// A temporal check's outcome depends on the lock table,
-			// which any call can change (a callee may free or realloc
-			// the allocation): calls kill temporal keys. Spatial keys
-			// are pure functions of their registers and survive.
-			for k := range s {
-				if k.tmeta {
-					delete(s, k)
-				}
-			}
-		}
-		// Any write to a register invalidates keys mentioning it.
-		in.Defs(func(dst ir.Reg) {
-			for k := range s {
-				if k.mentions(dst) {
-					delete(s, k)
-				}
-			}
-		})
-		return s
-	}
-}
-
 // EliminateRedundantChecksGlobal removes a KCheck that is available on
 // entry to its position along every path from the function entry — in
 // particular, a check dominated by an identical check with no
@@ -84,48 +21,70 @@ func transferCheck(s availState, in *ir.Inst) availState {
 // only pays off on cross-block redundancy, and its counter isolates the
 // extra wins.
 func EliminateRedundantChecksGlobal(f *ir.Func) int {
-	cfg := ir.BuildCFG(f)
-	if len(cfg.RPO) == 0 {
+	var cs checkSets
+	cs.intern(f)
+	return cs.eliminateGlobal(f, ir.BuildCFG(f))
+}
+
+// eliminateGlobal is EliminateRedundantChecksGlobal over f's interned
+// checks and its CFG cfg, which it leaves valid: it deletes only checks,
+// never a terminator.
+//
+// Each block's transfer function has the form out = in&^kill | gen, so
+// one walk over its instructions computes it, and the fixpoint then
+// iterates on set words alone.
+func (cs *checkSets) eliminateGlobal(f *ir.Func, cfg *ir.CFG) int {
+	if len(cfg.RPO) == 0 || len(cs.ids) == 0 {
 		return 0
 	}
-	n := len(f.Blocks)
-	// availOut[b] is the fixpoint state at the end of block b; nil = ⊤
-	// (not yet computed — only possible before a block's first visit).
-	availOut := make([]availState, n)
-	availIn := func(b int) availState {
-		var s availState
+	n, w := len(f.Blocks), cs.words
+	// Per block: gen, kill and the fixpoint state at its end (out);
+	// in is the scratch entry state.
+	cs.sets = grow(cs.sets, (3*n+1)*w)
+	clear(cs.sets)
+	set := func(i, b int) []uint64 { return cs.sets[(i*n+b)*w : (i*n+b+1)*w] }
+	in := cs.sets[3*n*w:]
+	for _, b := range cfg.RPO {
+		cs.genKill(f.Blocks[b], b, set(0, b), set(1, b))
+	}
+	// done[b] is false until block b's first visit: its out is then ⊤
+	// ("all checks available"), so facts propagate around back edges.
+	cs.done = grow(cs.done, n)
+	clear(cs.done)
+	availIn := func(b int) {
+		clear(in)
+		if b == cfg.RPO[0] {
+			return // nothing available at function entry
+		}
+		first := true
 		for _, p := range cfg.Preds[b] {
-			po := availOut[p]
-			if po == nil {
+			if !cs.done[p] {
 				continue // ⊤: imposes no constraint
 			}
-			if s == nil {
-				s = po.clone()
+			po := set(2, p)
+			if first {
+				copy(in, po)
+				first = false
 				continue
 			}
-			for k := range s {
-				if !po[k] {
-					delete(s, k)
-				}
+			for i := range in {
+				in[i] &= po[i]
 			}
 		}
-		if s == nil {
-			s = make(availState)
-		}
-		return s
 	}
 	for changed := true; changed; {
 		changed = false
 		for _, b := range cfg.RPO {
-			s := availIn(b)
-			if b == cfg.RPO[0] {
-				s = make(availState) // nothing available at function entry
+			availIn(b)
+			gen, kill, out := set(0, b), set(1, b), set(2, b)
+			same := cs.done[b]
+			for i := range out {
+				o := in[i]&^kill[i] | gen[i]
+				same = same && o == out[i]
+				out[i] = o
 			}
-			for i := range f.Blocks[b].Insts {
-				s = transferCheck(s, &f.Blocks[b].Insts[i])
-			}
-			if !s.equal(availOut[b]) {
-				availOut[b] = s
+			if !same {
+				cs.done[b] = true
 				changed = true
 			}
 		}
@@ -135,25 +94,8 @@ func EliminateRedundantChecksGlobal(f *ir.Func) int {
 	// and drop checks already available.
 	removed := 0
 	for _, b := range cfg.RPO {
-		s := availIn(b)
-		if b == cfg.RPO[0] {
-			s = make(availState)
-		}
-		blk := f.Blocks[b]
-		n := 0
-		for i := range blk.Insts {
-			in := &blk.Insts[i]
-			if in.Kind == ir.KCheck && s[keyOf(in)] {
-				removed++
-				continue
-			}
-			s = transferCheck(s, in)
-			if n != i {
-				blk.Insts[n] = *in
-			}
-			n++
-		}
-		blk.Insts = blk.Insts[:n]
+		availIn(b)
+		removed += cs.sweep(f.Blocks[b], b, in)
 	}
 	return removed
 }
@@ -183,30 +125,40 @@ func EliminateRedundantChecksGlobal(f *ir.Func) int {
 // somewhere to splice in). One metaload is hoisted per CFG build; the
 // caller's fixpoint loop re-runs the pass until it finds nothing.
 func HoistLoopInvariantMetaLoads(f *ir.Func) int {
+	return hoistMetaLoads(f, ir.BuildCFG(f))
+}
+
+// hoistMetaLoads is HoistLoopInvariantMetaLoads starting from f's CFG
+// cfg. It rebuilds the CFG only after splicing in a new preheader: a
+// hoist into an existing one moves an instruction and edits no edge.
+func hoistMetaLoads(f *ir.Func, cfg *ir.CFG) int {
 	hoisted := 0
-	// Bound the rebuild loop defensively; each iteration either hoists
-	// (changing the CFG) or stops.
+	// Bound the loop defensively; each iteration either hoists or stops.
 	for iter := 0; iter < 64; iter++ {
-		if !hoistOneMetaLoad(f) {
+		ok, spliced := hoistOneMetaLoad(f, cfg)
+		if !ok {
 			return hoisted
 		}
 		hoisted++
+		if spliced {
+			cfg = ir.BuildCFG(f)
+		}
 	}
 	return hoisted
 }
 
-func hoistOneMetaLoad(f *ir.Func) bool {
-	cfg := ir.BuildCFG(f)
+// hoistOneMetaLoad hoists one metaload, reporting whether it did and
+// whether it spliced a new preheader block into the CFG to do so.
+func hoistOneMetaLoad(f *ir.Func, cfg *ir.CFG) (ok, spliced bool) {
 	for _, loop := range cfg.NaturalLoops() {
 		if loop.Header == cfg.RPO[0] {
 			continue // entry block cannot get a preheader
 		}
 		if b, i := findHoistableMetaLoad(f, cfg, loop); b >= 0 {
-			hoistInto(f, cfg, loop, b, i)
-			return true
+			return true, hoistInto(f, cfg, loop, b, i)
 		}
 	}
-	return false
+	return false, false
 }
 
 // findHoistableMetaLoad returns the block index and instruction index of
@@ -297,11 +249,13 @@ func dominatesReads(f *ir.Func, cfg *ir.CFG, loop *ir.Loop, defBlock, defIdx int
 }
 
 // hoistInto creates (or reuses) a preheader for the loop and moves the
-// metaload at (b, i) to its end, before the terminator.
-func hoistInto(f *ir.Func, cfg *ir.CFG, loop *ir.Loop, b, i int) {
+// metaload at (b, i) to its end, before the terminator. It reports
+// whether it created the preheader.
+func hoistInto(f *ir.Func, cfg *ir.CFG, loop *ir.Loop, b, i int) (spliced bool) {
 	in := f.Blocks[b].Insts[i]
 	f.Blocks[b].Insts = append(f.Blocks[b].Insts[:i], f.Blocks[b].Insts[i+1:]...)
 
+	nblocks := len(f.Blocks)
 	pre := makePreheader(f, cfg, loop)
 	// Insert before the preheader's terminator (an unconditional branch
 	// to the header).
@@ -309,6 +263,7 @@ func hoistInto(f *ir.Func, cfg *ir.CFG, loop *ir.Loop, b, i int) {
 	term := blk.Insts[len(blk.Insts)-1]
 	blk.Insts[len(blk.Insts)-1] = in
 	blk.Insts = append(blk.Insts, term)
+	return len(f.Blocks) > nblocks
 }
 
 // makePreheader returns a block that is the unique non-loop predecessor

@@ -46,7 +46,7 @@ func TestGlobalCheckElimDiamond(t *testing.T) {
 		[]ir.Inst{c, {Kind: ir.KBr, Target: 3}},
 		[]ir.Inst{c, {Kind: ir.KRet}},
 	)
-	if n := EliminateRedundantChecksGlobal(f); n != 3 {
+	if n := eliminateChecked(t, f, true); n != 3 {
 		t.Fatalf("removed %d, want 3 (both arms + join)", n)
 	}
 	if countChecks(f) != 1 {
@@ -63,7 +63,7 @@ func TestGlobalCheckElimOnePathOnly(t *testing.T) {
 		[]ir.Inst{{Kind: ir.KBr, Target: 3}},
 		[]ir.Inst{c, {Kind: ir.KRet}},
 	)
-	if n := EliminateRedundantChecksGlobal(f); n != 0 {
+	if n := eliminateChecked(t, f, true); n != 0 {
 		t.Fatalf("removed %d checks not available on every path", n)
 	}
 }
@@ -78,7 +78,7 @@ func TestGlobalCheckElimKilledOnOnePath(t *testing.T) {
 		[]ir.Inst{{Kind: ir.KBr, Target: 3}},
 		[]ir.Inst{c, {Kind: ir.KRet}},
 	)
-	if n := EliminateRedundantChecksGlobal(f); n != 0 {
+	if n := eliminateChecked(t, f, true); n != 0 {
 		t.Fatalf("removed %d checks across a one-path redefinition", n)
 	}
 }
@@ -95,7 +95,7 @@ func TestGlobalCheckElimLoop(t *testing.T) {
 		[]ir.Inst{{Kind: ir.KBr, Target: 1}},
 		[]ir.Inst{{Kind: ir.KRet}},
 	)
-	if n := EliminateRedundantChecksGlobal(f); n != 1 {
+	if n := eliminateChecked(t, f, true); n != 1 {
 		t.Fatalf("removed %d, want 1 (the header check)", n)
 	}
 	// ... but a redefinition in the loop body keeps the header check.
@@ -106,7 +106,7 @@ func TestGlobalCheckElimLoop(t *testing.T) {
 		[]ir.Inst{{Kind: ir.KConst, Dst: 1, A: ir.CI(9)}, {Kind: ir.KBr, Target: 1}},
 		[]ir.Inst{{Kind: ir.KRet}},
 	)
-	if n := EliminateRedundantChecksGlobal(f); n != 0 {
+	if n := eliminateChecked(t, f, true); n != 0 {
 		t.Fatalf("removed %d checks whose base is redefined in the loop", n)
 	}
 }
@@ -118,7 +118,7 @@ func TestGlobalCheckElimSetjmp(t *testing.T) {
 		[]ir.Inst{c, {Kind: ir.KCall, Dst: 3, Callee: ir.FV("setjmp")}, {Kind: ir.KBr, Target: 1}},
 		[]ir.Inst{c, {Kind: ir.KRet}},
 	)
-	if n := EliminateRedundantChecksGlobal(f); n != 0 {
+	if n := eliminateChecked(t, f, true); n != 0 {
 		t.Fatalf("removed %d checks across setjmp", n)
 	}
 }
@@ -182,6 +182,43 @@ func TestHoistCreatesPreheader(t *testing.T) {
 	}
 	if f.Blocks[3].Terminator().Target != 3 {
 		t.Fatal("back edge must keep targeting the header")
+	}
+}
+
+// twoHoistsFunc is a loop with two invariant metaloads whose header's
+// only outside predecessor ends in a conditional branch: the first hoist
+// splices in a preheader, and the second must reuse it.
+func twoHoistsFunc() *ir.Func {
+	return mkCFGFunc(8,
+		[]ir.Inst{{Kind: ir.KConst, Dst: 4, A: ir.CI(3)}, {Kind: ir.KCondBr, A: ir.R(5), Target: 1, Else: 2}},
+		[]ir.Inst{
+			{Kind: ir.KMetaLoad, A: ir.GV("g", 0), MetaDst: [4]ir.Reg{0, 1}},
+			{Kind: ir.KMetaLoad, A: ir.GV("g", 8), MetaDst: [4]ir.Reg{6, 7}},
+			{Kind: ir.KBin, Dst: 2, Op: ir.OpAdd, A: ir.R(0), B: ir.R(6)},
+			{Kind: ir.KBin, Dst: 3, Op: ir.OpAdd, A: ir.R(1), B: ir.R(7)},
+			{Kind: ir.KBin, Dst: 4, Op: ir.OpSub, A: ir.R(4), B: ir.CI(1)},
+			{Kind: ir.KCondBr, A: ir.R(4), Target: 1, Else: 2}},
+		[]ir.Inst{{Kind: ir.KStore, A: ir.GV("g", 0), B: ir.R(2), Mem: ir.MemI64}, {Kind: ir.KRet}},
+	)
+}
+
+// Hoisting rebuilds the CFG after splicing in a preheader, so the second
+// metaload lands in the same one.
+func TestHoistTwiceIntoSplicedPreheader(t *testing.T) {
+	f := twoHoistsFunc()
+	nBlocks := len(f.Blocks)
+	if n := HoistLoopInvariantMetaLoads(f); n != 2 {
+		t.Fatalf("hoisted %d, want 2", n)
+	}
+	if len(f.Blocks) != nBlocks+1 {
+		t.Fatalf("%d blocks, want one preheader added", len(f.Blocks))
+	}
+	pre := f.Blocks[nBlocks].Insts
+	if len(pre) != 3 || pre[0].Kind != ir.KMetaLoad || pre[1].Kind != ir.KMetaLoad {
+		t.Fatalf("preheader holds %v, want both metaloads", pre)
+	}
+	if t0 := f.Blocks[0].Terminator(); t0.Target != nBlocks || t0.Else != 2 {
+		t.Fatalf("entry branches to %d/%d, want the preheader and the exit", t0.Target, t0.Else)
 	}
 }
 

@@ -87,17 +87,25 @@ func OptimizeWith(m *ir.Module, o Options) Result {
 // optimizing the whole module.
 func OptimizeFuncs(funcs []*ir.Func, o Options) Result {
 	var total Result
+	var cs checkSets
 	for _, f := range funcs {
 		for iter := 0; iter < 8; iter++ {
 			r := Result{}
 			r.FoldedConsts = ConstFold(f)
-			r.RemovedChecks = EliminateRedundantChecks(f)
+			// Both check passes use one numbering of the round's
+			// checks, and one CFG serves the round's global passes:
+			// check elimination and CSE edit no terminator, and
+			// hoisting rebuilds it after splicing in a preheader.
+			cs.intern(f)
+			r.RemovedChecks = cs.eliminateLocal(f)
+			var cfg *ir.CFG
 			if o.Global {
-				r.RemovedChecksGlobal = EliminateRedundantChecksGlobal(f)
+				cfg = ir.BuildCFG(f)
+				r.RemovedChecksGlobal = cs.eliminateGlobal(f, cfg)
 			}
 			r.MergedMetaLoads = CSEMetaLoads(f)
 			if o.Global {
-				r.HoistedMetaLoads = HoistLoopInvariantMetaLoads(f)
+				r.HoistedMetaLoads = hoistMetaLoads(f, cfg)
 			}
 			r.RemovedInsts, r.DeadMetaLoads = deadCodeElim(f, o.Global)
 			total.add(r)
@@ -348,20 +356,21 @@ func keyOf(in *ir.Inst) checkKey {
 	return k
 }
 
-func (k checkKey) mentions(r ir.Reg) bool {
-	if mentionsReg(k.a, r) {
-		return true
-	}
+// regs calls fn for each register the key reads: the checked address
+// and its metadata words.
+func (k *checkKey) regs(fn func(ir.Reg)) {
 	w := 2
 	if k.tmeta {
 		w = 4
 	}
+	if k.a.Kind == ir.VReg {
+		fn(k.a.Reg)
+	}
 	for _, v := range k.meta[:w] {
-		if mentionsReg(v, r) {
-			return true
+		if v.Kind == ir.VReg {
+			fn(v.Reg)
 		}
 	}
-	return false
 }
 
 // EliminateRedundantChecks removes a KCheck identical to an earlier check
@@ -371,23 +380,22 @@ func (k checkKey) mentions(r ir.Reg) bool {
 // transfer function as EliminateRedundantChecksGlobal, from an empty set
 // at every block entry.
 func EliminateRedundantChecks(f *ir.Func) int {
+	var cs checkSets
+	cs.intern(f)
+	return cs.eliminateLocal(f)
+}
+
+// eliminateLocal is EliminateRedundantChecks over f's interned checks.
+func (cs *checkSets) eliminateLocal(f *ir.Func) int {
+	if len(cs.ids) == 0 {
+		return 0
+	}
+	cs.sets = grow(cs.sets, cs.words)
+	s := cs.sets
 	removed := 0
-	for _, blk := range f.Blocks {
-		seen := make(availState)
-		n := 0
-		for i := range blk.Insts {
-			in := &blk.Insts[i]
-			if in.Kind == ir.KCheck && seen[keyOf(in)] {
-				removed++
-				continue
-			}
-			seen = transferCheck(seen, in)
-			if n != i {
-				blk.Insts[n] = *in
-			}
-			n++
-		}
-		blk.Insts = blk.Insts[:n]
+	for b, blk := range f.Blocks {
+		clear(s)
+		removed += cs.sweep(blk, b, s)
 	}
 	return removed
 }

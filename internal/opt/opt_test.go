@@ -118,7 +118,7 @@ func TestEliminateRedundantChecks(t *testing.T) {
 		{Kind: ir.KCheck, A: ir.R(0), Meta: [4]ir.Value{ir.R(1), ir.R(2)}, AccessSize: 4, CheckK: ir.CheckLoad},
 		{Kind: ir.KRet},
 	}
-	if n := EliminateRedundantChecks(f); n != 1 {
+	if n := eliminateChecked(t, f, false); n != 1 {
 		t.Fatalf("removed %d, want 1", n)
 	}
 
@@ -130,7 +130,7 @@ func TestEliminateRedundantChecks(t *testing.T) {
 		{Kind: ir.KCheck, A: ir.R(0), Meta: [4]ir.Value{ir.R(1), ir.R(2)}, AccessSize: 4, CheckK: ir.CheckLoad},
 		{Kind: ir.KRet},
 	}
-	if n := EliminateRedundantChecks(f); n != 0 {
+	if n := eliminateChecked(t, f, false); n != 0 {
 		t.Fatalf("removed %d checks across a redefinition", n)
 	}
 
@@ -141,7 +141,7 @@ func TestEliminateRedundantChecks(t *testing.T) {
 		{Kind: ir.KCheck, A: ir.R(0), Meta: [4]ir.Value{ir.R(1), ir.R(2)}, AccessSize: 8, CheckK: ir.CheckLoad},
 		{Kind: ir.KRet},
 	}
-	if n := EliminateRedundantChecks(f); n != 0 {
+	if n := eliminateChecked(t, f, false); n != 0 {
 		t.Fatalf("merged checks of different sizes")
 	}
 }

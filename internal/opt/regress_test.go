@@ -19,7 +19,7 @@ func TestCheckElimKilledByMetaLoadDef(t *testing.T) {
 		ir.Inst{Kind: ir.KCheck, A: ir.R(0), Meta: [4]ir.Value{ir.R(1), ir.R(2)},
 			AccessSize: 4, CheckK: ir.CheckLoad},
 	)
-	if n := EliminateRedundantChecks(f); n != 0 {
+	if n := eliminateChecked(t, f, false); n != 0 {
 		t.Fatalf("removed %d checks across a metaload clobbering base/bound", n)
 	}
 }
@@ -34,7 +34,7 @@ func TestCheckElimKilledByCallMetaDef(t *testing.T) {
 		ir.Inst{Kind: ir.KCheck, A: ir.R(0), Meta: [4]ir.Value{ir.R(1), ir.R(2)},
 			AccessSize: 8, CheckK: ir.CheckLoad},
 	)
-	if n := EliminateRedundantChecks(f); n != 0 {
+	if n := eliminateChecked(t, f, false); n != 0 {
 		t.Fatalf("removed %d checks across a call writing its MetaDst", n)
 	}
 }
@@ -52,7 +52,7 @@ func TestCheckElimInvalidatedBySetjmp(t *testing.T) {
 			ir.Inst{Kind: ir.KCheck, A: ir.R(0), Meta: [4]ir.Value{ir.R(1), ir.R(2)},
 				AccessSize: 4, CheckK: ir.CheckLoad},
 		)
-		if n := EliminateRedundantChecks(f); n != 0 {
+		if n := eliminateChecked(t, f, false); n != 0 {
 			t.Fatalf("removed %d checks across %s", n, name)
 		}
 	}
