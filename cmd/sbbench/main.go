@@ -11,8 +11,8 @@
 //
 //	sbbench -experiment=all|table1|table3|table4|figure1|figure2|compat|related
 //	        [-scale=N]
-//	sbbench -parallel [-json=BENCH.json] [-schemes=hashtable,shadowspace]
-//	        [-progs=go,treeadd,...] [-workers=N] [-scale=N]
+//	sbbench -parallel|-workers=N [-json=BENCH.json] [-schemes=hashtable,shadowspace]
+//	        [-progs=go,treeadd,...] [-scale=N]
 //	        [-timeout=30s] [-steps=N] [-faults=seed=7,flip=200,oom=4]
 //	        [-engine=fast|ref] [-cpuprofile=cpu.pprof] [-memprofile=mem.pprof]
 package main
@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -36,7 +37,8 @@ import (
 
 func main() {
 	exp := flag.String("experiment", "all",
-		"which experiment to run: all, table1, table3, table4, figure1, figure2, compat, related, bench")
+		"which experiment to run: all, table1, table3, table4, figure1, figure2, compat, related "+
+			"(ignored when a matrix flag such as -parallel or -workers selects the benchmark matrix)")
 	scale := flag.Int("scale", 0, "benchmark problem size (0 = default)")
 	parallel := flag.Bool("parallel", false,
 		"run the benchmark matrix on a worker pool sized to the CPU count")
@@ -95,10 +97,10 @@ func main() {
 		}()
 	}
 
-	// The harness path: any of its flags (or -experiment=bench) selects it.
+	// The harness path: any of its flags selects it.
 	if *parallel || *jsonOut != "" || *workers > 0 || *schemes != "" ||
 		*progList != "" || *timeout != 0 || *steps != 0 || *faultSpec != "" ||
-		*retries != 0 || *engine != "" || *exp == "bench" {
+		*retries != 0 || *engine != "" {
 		if err := runBench(benchOptions{
 			scale:    *scale,
 			parallel: *parallel,
@@ -118,69 +120,64 @@ func main() {
 		return
 	}
 
-	run := func(name string, fn func() error) {
-		if *exp != "all" && *exp != name {
-			return
-		}
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
-		}
-		fmt.Println()
+	if err := runExperiments(os.Stdout, *exp, *scale); err != nil {
+		fmt.Fprintf(os.Stderr, "%v\n", err)
+		os.Exit(1)
 	}
+}
 
-	run("table1", func() error {
-		fmt.Print(experiments.FormatTable1(experiments.Table1()))
-		return nil
-	})
-	run("table3", func() error {
-		rows, err := experiments.Table3()
-		if err != nil {
+// runExperiments prints the named experiment, or every one for "all", to
+// w, each followed by a blank line. The figure views read one bench
+// report of just the cells they need; "all" runs the Figure 2 matrix,
+// which holds every cell of Figure 1 and §6.5 too.
+func runExperiments(w io.Writer, exp string, scale int) error {
+	var rep *bench.Report
+	if cells, ok := map[string]func(int) bench.Config{
+		"all": experiments.Figure2Cells, "figure1": experiments.Figure1Cells,
+		"figure2": experiments.Figure2Cells, "related": experiments.RelatedCells,
+	}[exp]; ok {
+		var err error
+		if rep, err = bench.Execute(cells(scale)); err != nil {
 			return err
 		}
-		fmt.Print(experiments.FormatTable3(rows))
-		return nil
-	})
-	run("table4", func() error {
-		rows, err := experiments.Table4()
-		if err != nil {
-			return err
+	}
+	ran := false
+	for _, e := range []struct {
+		name string
+		run  func() (string, error)
+	}{
+		{"table1", func() (string, error) { return experiments.FormatTable1(experiments.Table1()), nil }},
+		{"table3", func() (string, error) { return render(experiments.FormatTable3)(experiments.Table3()) }},
+		{"table4", func() (string, error) { return render(experiments.FormatTable4)(experiments.Table4()) }},
+		{"figure1", func() (string, error) { return render(experiments.FormatFigure1)(experiments.Figure1(rep)) }},
+		{"figure2", func() (string, error) { return render(experiments.FormatFigure2)(experiments.Figure2(rep)) }},
+		{"compat", func() (string, error) { return render(experiments.FormatCompat)(experiments.Compat()) }},
+		{"related", func() (string, error) { return render(experiments.FormatRelated)(experiments.Related(rep)) }},
+	} {
+		if exp != "all" && exp != e.name {
+			continue
 		}
-		fmt.Print(experiments.FormatTable4(rows))
-		return nil
-	})
-	run("figure1", func() error {
-		rows, err := experiments.Figure1(*scale)
+		ran = true
+		out, err := e.run()
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", e.name, err)
 		}
-		fmt.Print(experiments.FormatFigure1(rows))
-		return nil
-	})
-	run("figure2", func() error {
-		rows, err := experiments.Figure2(*scale)
+		fmt.Fprintln(w, out)
+	}
+	if !ran {
+		return fmt.Errorf("unknown -experiment %q", exp)
+	}
+	return nil
+}
+
+// render formats an experiment's rows unless it failed.
+func render[T any](format func(T) string) func(T, error) (string, error) {
+	return func(rows T, err error) (string, error) {
 		if err != nil {
-			return err
+			return "", err
 		}
-		fmt.Print(experiments.FormatFigure2(rows))
-		return nil
-	})
-	run("compat", func() error {
-		r, err := experiments.Compat()
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatCompat(r))
-		return nil
-	})
-	run("related", func() error {
-		rows, err := experiments.Related(*scale)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatRelated(rows))
-		return nil
-	})
+		return format(rows), nil
+	}
 }
 
 // benchOptions carries the harness flag values.

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"os"
 	"testing"
 
 	"softbound/internal/vm"
@@ -23,6 +25,34 @@ func TestParseEngine(t *testing.T) {
 	for _, in := range []string{"compiled", "Fast", "reference"} {
 		if got, err := parseEngine(in); err == nil {
 			t.Errorf("parseEngine(%q) = %v, want an error", in, got)
+		}
+	}
+}
+
+// TestExperimentsGolden: -experiment=all at scale 1 prints, byte for
+// byte, the committed output of the per-experiment run loops the report
+// views replaced (testdata/experiments_scale1.txt).
+func TestExperimentsGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/experiments_scale1.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := runExperiments(&got, "all", 1); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("-experiment=all -scale 1 output differs from testdata/experiments_scale1.txt:\n%s", got.String())
+	}
+}
+
+// TestUnknownExperiment: a misspelt or retired -experiment name (the old
+// "bench" alias included) is an error, not silently empty output.
+func TestUnknownExperiment(t *testing.T) {
+	for _, name := range []string{"bench", "figure3", ""} {
+		var out bytes.Buffer
+		if err := runExperiments(&out, name, 1); err == nil || out.Len() != 0 {
+			t.Errorf("-experiment=%q: err %v, output %q; want an error and no output", name, err, out.String())
 		}
 	}
 }

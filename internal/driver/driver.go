@@ -114,11 +114,6 @@ type Config struct {
 	// package is frozen with the benchmark it implements.
 	MetaFacility func() (meta.Facility, error)
 
-	// MSCCModel applies the related-scheme cost model of §6.5: the same
-	// full checking, but with MSCC's costlier linked-shadow metadata
-	// lookups (14 instructions) and heavier check sequences (6).
-	MSCCModel bool
-
 	// CheckArith enables the arithmetic-time-check ablation (see
 	// core.Options.CheckArith).
 	CheckArith bool
@@ -495,11 +490,6 @@ func ExecuteContext(ctx context.Context, mod *ir.Module, cfg Config) *Result {
 	if err != nil {
 		return &Result{Err: err, Stats: &metrics.Stats{}}
 	}
-	var checkCost uint64
-	if cfg.MSCCModel {
-		fac = meta.Costed(fac, meta.Costs{Lookup: 14, Update: 14})
-		checkCost = 6
-	}
 	vmCfg := vm.Config{
 		Mode:          vmMode(cfg.Mode),
 		Meta:          fac,
@@ -510,7 +500,6 @@ func ExecuteContext(ctx context.Context, mod *ir.Module, cfg Config) *Result {
 		HeapSize:      cfg.HeapSize,
 		StackSize:     cfg.StackSize,
 		Args:          cfg.Args,
-		CheckCost:     checkCost,
 		HeapLimit:     cfg.HeapLimit,
 		MaxStackDepth: cfg.MaxStackDepth,
 	}

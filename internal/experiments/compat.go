@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 
+	"softbound/internal/bench"
 	"softbound/internal/driver"
 	"softbound/internal/meta"
-	"softbound/internal/progs"
+	"softbound/internal/metrics"
+	"softbound/internal/vm"
 )
 
 // §6.4 source-compatibility case study. The paper applies SoftBound to
@@ -294,50 +297,55 @@ type RelatedRow struct {
 	MSCC      float64
 }
 
-// Related reproduces the §6.5 comparison shape: MSCC also keeps disjoint
-// per-pointer metadata but uses linked shadow structures (costlier
-// lookups) and heavier check sequences; its overhead is uniformly higher
-// than SoftBound's. The MSCC configuration is modeled as full checking
-// with a 14-instruction two-level metadata lookup and a 6-instruction
-// check sequence (vs shadow space's 5 and the 3-instruction compare pair).
-func Related(scale int) ([]RelatedRow, error) {
-	benches := []string{"go", "compress", "bisort", "em3d"}
-	var out []RelatedRow
-	for _, name := range benches {
-		b, ok := progs.Get(name)
-		if !ok {
-			return nil, fmt.Errorf("no benchmark %s", name)
-		}
-		src := b.Source(scale)
-		base, err := driver.RunSource(src, driver.DefaultConfig(driver.ModeNone))
-		if err != nil || base.Err != nil {
-			return nil, firstErr(err, base)
-		}
-		sb, err := driver.RunSource(src, driver.DefaultConfig(driver.ModeFull))
-		if err != nil || sb.Err != nil {
-			return nil, firstErr(err, sb)
-		}
-		msccCfg := driver.DefaultConfig(driver.ModeFull)
-		msccCfg.Meta = meta.KindHashTable
-		msccCfg.MSCCModel = true
-		mscc, err := driver.RunSource(src, msccCfg)
-		if err != nil || mscc.Err != nil {
-			return nil, firstErr(err, mscc)
-		}
-		out = append(out, RelatedRow{
-			Bench:     name,
-			SoftBound: sb.Stats.Overhead(base.Stats),
-			MSCC:      mscc.Stats.Overhead(base.Stats),
-		})
-	}
-	return out, nil
+// relatedPrograms are the benchmarks of the §6.5 comparison.
+var relatedPrograms = []string{"go", "compress", "bisort", "em3d"}
+
+// RelatedCells selects what §6.5 reads: each of its programs' baseline,
+// hashtable-full and shadowspace-full runs.
+func RelatedCells(scale int) bench.Config {
+	return bench.Config{Workers: runtime.NumCPU(), Scale: scale, Programs: relatedPrograms,
+		Schemes: []meta.Kind{meta.KindHashTable, meta.KindShadowSpace},
+		Modes:   []driver.Mode{driver.ModeFull}}
 }
 
-func firstErr(err error, res *driver.Result) error {
-	if err != nil {
-		return err
+// MSCC's costs (paper §6.5): its linked shadow structures make a metadata
+// lookup or update 14 instructions, and its check sequence is 6.
+const (
+	msccMetaCost  = 14
+	msccCheckCost = 6
+)
+
+// msccSimInsts prices a hashtable-full run under MSCC's costs. MSCC keeps
+// disjoint per-pointer metadata too, so it executes the same checks and
+// metadata operations (memcpy's per-word lookups included); only their
+// price differs.
+func msccSimInsts(ht metrics.Report) uint64 {
+	return ht.SimInsts +
+		(msccMetaCost-meta.HashTableCost)*(ht.MetaLoads+ht.MetaStores+ht.MetaCopyWords) +
+		(msccCheckCost-vm.CheckCost)*ht.Checks
+}
+
+// Related reproduces the §6.5 comparison shape: MSCC's overhead is
+// uniformly higher than SoftBound's (shadowspace-full).
+func Related(rep *bench.Report) ([]RelatedRow, error) {
+	var out []RelatedRow
+	for _, p := range relatedPrograms {
+		sb, err := overhead(rep, p, "shadowspace-full")
+		if err != nil {
+			return nil, err
+		}
+		base, err := cell(rep, p, "baseline")
+		if err != nil {
+			return nil, err
+		}
+		ht, err := cell(rep, p, "hashtable-full")
+		if err != nil {
+			return nil, err
+		}
+		mscc := float64(msccSimInsts(ht.Stats))/float64(base.Stats.SimInsts) - 1
+		out = append(out, RelatedRow{Bench: p, SoftBound: sb, MSCC: mscc})
 	}
-	return res.Err
+	return out, nil
 }
 
 // FormatRelated renders the §6.5 comparison.

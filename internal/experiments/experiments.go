@@ -1,6 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§6). Each experiment returns structured results; the
-// sbbench command and the module's benchmarks format them. Absolute
+// sbbench command and the module's benchmarks format them; Figures 1 and
+// 2 and the §6.5 comparison read theirs from one bench.Report. Absolute
 // numbers come from this reproduction's simulated substrate; the claims
 // being reproduced are the *shapes*: who detects what (Tables 3, 4),
 // which scheme is qualitatively stronger (Table 1), how the pointer mix
@@ -10,17 +11,16 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
-	"time"
 
 	"softbound/internal/attacks"
 	"softbound/internal/baseline"
+	"softbound/internal/bench"
 	"softbound/internal/bugbench"
 	"softbound/internal/driver"
 	"softbound/internal/meta"
-	"softbound/internal/metrics"
-	"softbound/internal/progs"
 	"softbound/internal/vm"
 )
 
@@ -189,29 +189,69 @@ func FormatTable4(rows []BugResult) string {
 	return b.String()
 }
 
+// ------------------------------------------------------------- Figures
+
+// Figures 1 and 2 and the §6.5 comparison are views over one
+// bench.Report. The *Cells functions select the cells each view reads;
+// bench.Execute runs them in parallel, each crash-contained. A view whose
+// cell errored or is missing returns an error naming it.
+
+// Figure1Cells selects what Figure 1 reads: every program's baseline.
+func Figure1Cells(scale int) bench.Config {
+	return bench.Config{Workers: runtime.NumCPU(), Scale: scale, Modes: []driver.Mode{driver.ModeNone}}
+}
+
+// Figure2Cells selects the whole program × scheme × mode matrix, which
+// also holds every cell Figure 1 and §6.5 read.
+func Figure2Cells(scale int) bench.Config {
+	return bench.Config{Workers: runtime.NumCPU(), Scale: scale}
+}
+
+// cell returns the report's finished run of one program and config
+// ("baseline" or bench's "<scheme>-<mode>").
+func cell(rep *bench.Report, prog, config string) (*bench.Run, error) {
+	for i := range rep.Runs {
+		if r := &rep.Runs[i]; r.Program == prog && r.Config == config {
+			if r.Error != "" {
+				return nil, fmt.Errorf("%s/%s: %s", prog, config, r.Error)
+			}
+			return r, nil
+		}
+	}
+	return nil, fmt.Errorf("%s/%s: not in the report", prog, config)
+}
+
+// overhead returns one instrumented cell's overhead_sim.
+func overhead(rep *bench.Report, prog, config string) (float64, error) {
+	r, err := cell(rep, prog, config)
+	switch {
+	case err != nil:
+		return 0, err
+	case r.OverheadSim == nil:
+		return 0, fmt.Errorf("%s/%s: no overhead against the baseline", prog, config)
+	}
+	return *r.OverheadSim, nil
+}
+
 // ------------------------------------------------------------- Figure 1
 
 // MixResult is one Figure 1 bar.
 type MixResult struct {
-	Bench   progs.Benchmark
+	Bench   string
 	PtrFrac float64 // fraction of memory ops that move pointers
-	Stats   *metrics.Stats
 }
 
-// Figure1 measures the pointer-memory-operation frequency for all 15
-// benchmarks (uninstrumented, post-optimization), the quantity Figure 1
-// plots.
-func Figure1(scale int) ([]MixResult, error) {
-	var out []MixResult
-	for _, b := range progs.All() {
-		res, err := driver.RunSource(b.Source(scale), driver.DefaultConfig(driver.ModeNone))
+// Figure1 reads the pointer-memory-operation frequency, the quantity
+// Figure 1 plots, from each program's baseline (uninstrumented,
+// post-optimization) run.
+func Figure1(rep *bench.Report) ([]MixResult, error) {
+	out := make([]MixResult, 0, len(rep.Programs))
+	for _, p := range rep.Programs {
+		r, err := cell(rep, p, "baseline")
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", b.Name, err)
+			return nil, err
 		}
-		if res.Err != nil {
-			return nil, fmt.Errorf("%s: %w", b.Name, res.Err)
-		}
-		out = append(out, MixResult{Bench: b, PtrFrac: res.Stats.PtrMemFrac(), Stats: res.Stats})
+		out = append(out, MixResult{Bench: p, PtrFrac: r.Stats.PtrMemFrac})
 	}
 	// The paper presents benchmarks sorted by this fraction.
 	sort.SliceStable(out, func(i, j int) bool { return out[i].PtrFrac < out[j].PtrFrac })
@@ -224,7 +264,7 @@ func FormatFigure1(rows []MixResult) string {
 	fmt.Fprintf(&b, "Figure 1: frequency of pointer memory operations\n")
 	for _, r := range rows {
 		bar := strings.Repeat("#", int(r.PtrFrac*60))
-		fmt.Fprintf(&b, "%-11s %5.1f%% |%s\n", r.Bench.Name, 100*r.PtrFrac, bar)
+		fmt.Fprintf(&b, "%-11s %5.1f%% |%s\n", r.Bench, 100*r.PtrFrac, bar)
 	}
 	return b.String()
 }
@@ -238,26 +278,17 @@ type OverheadConfig struct {
 	Meta meta.Kind
 }
 
-// Figure2Configs returns the configurations of Figure 2: every metadata
-// scheme (meta.Kinds) under both checking modes.
-func Figure2Configs() []OverheadConfig {
-	return MatrixConfigs(meta.Kinds(), []driver.Mode{driver.ModeFull, driver.ModeStoreOnly})
-}
+// benchName is bench's name for the configuration ("<scheme>-<mode>").
+func (c OverheadConfig) benchName() string { return c.Meta.String() + "-" + c.Mode.String() }
 
-// MatrixConfigs expands schemes × modes into instrumentation configs with
-// the paper's display names ("HashTable-Complete", ...).
-func MatrixConfigs(schemes []meta.Kind, modes []driver.Mode) []OverheadConfig {
+// Figure2Configs returns the configurations of Figure 2, every metadata
+// scheme (meta.Kinds) under both checking modes, with the paper's display
+// names ("HashTable-Complete", ...).
+func Figure2Configs() []OverheadConfig {
 	var out []OverheadConfig
-	for _, m := range modes {
-		if m == driver.ModeNone {
-			continue
-		}
-		for _, k := range schemes {
-			out = append(out, OverheadConfig{
-				Name: schemeDisplay(k) + "-" + modeDisplay(m),
-				Mode: m,
-				Meta: k,
-			})
+	for _, m := range []driver.Mode{driver.ModeFull, driver.ModeStoreOnly} {
+		for _, k := range meta.Kinds() {
+			out = append(out, OverheadConfig{Name: schemeDisplay(k) + "-" + modeDisplay(m), Mode: m, Meta: k})
 		}
 	}
 	return out
@@ -282,56 +313,28 @@ func modeDisplay(m driver.Mode) string {
 
 // OverheadResult is one benchmark's Figure 2 bar group.
 type OverheadResult struct {
-	Bench    progs.Benchmark
-	PtrFrac  float64
-	Baseline *metrics.Stats
+	Bench   string
+	PtrFrac float64
 	// Overheads maps config name to fractional overhead in simulated
 	// instructions (0.79 = 79%).
 	Overheads map[string]float64
-	// WallOverheads maps config name to wall-clock overhead.
-	WallOverheads map[string]float64
 }
 
-// Figure2 measures runtime overhead for every benchmark under the four
-// instrumentation configurations, against the uninstrumented baseline.
-func Figure2(scale int) ([]OverheadResult, error) {
-	mix, err := Figure1(scale)
+// Figure2 reads the runtime overhead of every benchmark under each
+// instrumentation configuration against its uninstrumented baseline,
+// in Figure 1 order.
+func Figure2(rep *bench.Report) ([]OverheadResult, error) {
+	mix, err := Figure1(rep)
 	if err != nil {
 		return nil, err
 	}
-	var out []OverheadResult
+	out := make([]OverheadResult, 0, len(mix))
 	for _, m := range mix {
-		b := m.Bench
-		src := b.Source(scale)
-
-		baseStart := time.Now()
-		base, err := driver.RunSource(src, driver.DefaultConfig(driver.ModeNone))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", b.Name, err)
-		}
-		if base.Err != nil {
-			return nil, fmt.Errorf("%s: %w", b.Name, base.Err)
-		}
-		baseWall := time.Since(baseStart)
-
-		r := OverheadResult{
-			Bench: b, PtrFrac: m.PtrFrac, Baseline: base.Stats,
-			Overheads:     make(map[string]float64),
-			WallOverheads: make(map[string]float64),
-		}
+		r := OverheadResult{Bench: m.Bench, PtrFrac: m.PtrFrac, Overheads: make(map[string]float64)}
 		for _, cfg := range Figure2Configs() {
-			c := driver.DefaultConfig(cfg.Mode)
-			c.Meta = cfg.Meta
-			start := time.Now()
-			res, err := driver.RunSource(src, c)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", b.Name, cfg.Name, err)
+			if r.Overheads[cfg.Name], err = overhead(rep, m.Bench, cfg.benchName()); err != nil {
+				return nil, err
 			}
-			if res.Err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", b.Name, cfg.Name, res.Err)
-			}
-			r.Overheads[cfg.Name] = res.Stats.Overhead(base.Stats)
-			r.WallOverheads[cfg.Name] = float64(time.Since(start))/float64(baseWall) - 1
 		}
 		out = append(out, r)
 	}
@@ -364,7 +367,7 @@ func FormatFigure2(rows []OverheadResult) string {
 	}
 	fmt.Fprintf(&b, "\n")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-11s %5.1f%%", r.Bench.Name, 100*r.PtrFrac)
+		fmt.Fprintf(&b, "%-11s %5.1f%%", r.Bench, 100*r.PtrFrac)
 		for _, c := range configs {
 			fmt.Fprintf(&b, " %20.1f%%", 100*r.Overheads[c.Name])
 		}

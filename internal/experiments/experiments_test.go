@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"softbound/internal/bench"
 )
 
 // The experiment tests assert the paper's claims (the shapes), not
@@ -79,8 +81,22 @@ func TestTable4MatchesPaperMatrix(t *testing.T) {
 	}
 }
 
+// execute runs the cells a view reads and checks the report holds exactly
+// the runs asked for.
+func execute(t *testing.T, cfg bench.Config, runs int) *bench.Report {
+	t.Helper()
+	rep, err := bench.Execute(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Runs) != runs {
+		t.Fatalf("%d runs, want %d", len(rep.Runs), runs)
+	}
+	return rep
+}
+
 func TestFigure1SortedAndShaped(t *testing.T) {
-	rows, err := Figure1(testScale)
+	rows, err := Figure1(execute(t, Figure1Cells(testScale), 15))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,15 +105,15 @@ func TestFigure1SortedAndShaped(t *testing.T) {
 	}
 	for i := 1; i < len(rows); i++ {
 		if rows[i].PtrFrac < rows[i-1].PtrFrac {
-			t.Errorf("not sorted at %s", rows[i].Bench.Name)
+			t.Errorf("not sorted at %s", rows[i].Bench)
 		}
 	}
 	// SPEC-style codes sit on the left, pointer codes on the right.
 	if rows[0].PtrFrac > 0.05 {
-		t.Errorf("leftmost %s has %f", rows[0].Bench.Name, rows[0].PtrFrac)
+		t.Errorf("leftmost %s has %f", rows[0].Bench, rows[0].PtrFrac)
 	}
 	if rows[len(rows)-1].PtrFrac < 0.3 {
-		t.Errorf("rightmost %s has %f", rows[len(rows)-1].Bench.Name, rows[len(rows)-1].PtrFrac)
+		t.Errorf("rightmost %s has %f", rows[len(rows)-1].Bench, rows[len(rows)-1].PtrFrac)
 	}
 	if s := FormatFigure1(rows); !strings.Contains(s, "%") {
 		t.Error("format broken")
@@ -105,7 +121,7 @@ func TestFigure1SortedAndShaped(t *testing.T) {
 }
 
 func TestFigure2Shape(t *testing.T) {
-	rows, err := Figure2(testScale)
+	rows, err := Figure2(execute(t, Figure2Cells(testScale), 135))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,10 +140,10 @@ func TestFigure2Shape(t *testing.T) {
 	// metadata encoding matters only where metadata traffic exists).
 	var ptrHeavy, scalar *OverheadResult
 	for i := range rows {
-		if rows[i].Bench.Name == "treeadd" {
+		if rows[i].Bench == "treeadd" {
 			ptrHeavy = &rows[i]
 		}
-		if rows[i].Bench.Name == "lbm" {
+		if rows[i].Bench == "lbm" {
 			scalar = &rows[i]
 		}
 	}
@@ -172,7 +188,7 @@ func TestCompatCaseStudy(t *testing.T) {
 }
 
 func TestRelatedMSCCUniformlyHigher(t *testing.T) {
-	rows, err := Related(testScale)
+	rows, err := Related(execute(t, RelatedCells(testScale), 12))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,14 +136,17 @@ func (h *HashTable) Clear(addr, size uint64) {
 // words, so memcpy'd pointers keep their allocation identity.
 func (h *HashTable) CopyRange(dst, src, size uint64) { copyRange(h, dst, src, size) }
 
-// Costs reports the paper's ~9-instruction lookup for the hash scheme. A
-// temporal table costs ~13: two more loads (key, lock) and the
-// lock-table load and compare.
+// HashTableCost is the paper's ~9-instruction lookup or update of the
+// spatial hash table.
+const HashTableCost = 9
+
+// Costs reports HashTableCost per operation. A temporal table costs ~13:
+// two more loads (key, lock) and the lock-table load and compare.
 func (h *HashTable) Costs() Costs {
 	if h.temporal {
 		return Costs{Lookup: 13, Update: 13}
 	}
-	return Costs{Lookup: 9, Update: 9}
+	return Costs{Lookup: HashTableCost, Update: HashTableCost}
 }
 
 // Occupancy reports live (non-tombstone) entries and table bytes: 24 per

@@ -211,15 +211,3 @@ func copyRange(f Facility, dst, src, size uint64) {
 		copySlot(off)
 	}
 }
-
-// Costed wraps a facility with overridden per-operation instruction
-// costs, used to model related schemes with heavier metadata sequences
-// (e.g. MSCC's linked shadow structures, paper §6.5).
-func Costed(f Facility, c Costs) Facility { return &costed{Facility: f, costs: c} }
-
-type costed struct {
-	Facility
-	costs Costs
-}
-
-func (c *costed) Costs() Costs { return c.costs }

@@ -136,10 +136,6 @@ func TestCosts(t *testing.T) {
 	if ht.Costs() != (Costs{Lookup: 13, Update: 13}) || st.Costs() != (Costs{Lookup: 9, Update: 9}) {
 		t.Fatalf("temporal costs: hash=%+v shadow=%+v", ht.Costs(), st.Costs())
 	}
-	c := Costed(s, Costs{Lookup: 14, Update: 14})
-	if c.Costs().Lookup != 14 {
-		t.Fatal("Costed override ignored")
-	}
 }
 
 func TestFootprintGrows(t *testing.T) {

@@ -25,6 +25,9 @@ type Stats struct {
 	MetaLoads      uint64 // metadata table lookups
 	MetaStores     uint64 // metadata table updates
 	MetaClears     uint64
+	// MetaCopyWords counts the pointer-sized words whose metadata the
+	// memcpy/memmove builtin carried, each charged one facility lookup.
+	MetaCopyWords uint64
 
 	Calls uint64
 

@@ -33,6 +33,8 @@ type Report struct {
 	// unbounded metadata growth).
 	MetaLive   int64  `json:"meta_live,omitempty"`
 	CheckElims uint64 `json:"check_elims"`
+	// MetaCopyWords: an additive schema-v1 extension, omitted when 0.
+	MetaCopyWords uint64 `json:"meta_copy_words,omitempty"`
 
 	// Metadata-lookup-cache counters (additive schema-v1 extension;
 	// zero/omitted under the reference engine or with the cache disabled).
@@ -72,6 +74,7 @@ func (s *Stats) Report() Report {
 		MetaLoads:         s.MetaLoads,
 		MetaStores:        s.MetaStores,
 		MetaClears:        s.MetaClears,
+		MetaCopyWords:     s.MetaCopyWords,
 		Calls:             s.Calls,
 		Mallocs:           s.Mallocs,
 		Frees:             s.Frees,

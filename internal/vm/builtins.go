@@ -45,7 +45,7 @@ func (v *VM) callBuiltin(name string, f *frame, in *ir.Inst, args []uint64, meta
 		}
 		p := arg(i)
 		v.stats.Checks++
-		v.stats.SimInsts += v.cfg.CheckCost
+		v.stats.SimInsts += CheckCost
 		k := ir.CheckLoad
 		if isWrite {
 			k = ir.CheckStore
@@ -275,6 +275,7 @@ func (v *VM) callBuiltin(name string, f *frame, in *ir.Inst, args []uint64, meta
 		if instrumented {
 			// Safe default: always carry the metadata (paper §5.2).
 			v.fac.CopyRange(dst, src, n)
+			v.stats.MetaCopyWords += n / 8
 			v.stats.SimInsts += (n / 8) * uint64(v.fac.Costs().Lookup)
 		}
 		mret := meta.Entry{}

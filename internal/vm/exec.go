@@ -17,7 +17,8 @@ const (
 	costCondBr = 2
 	costCall   = 3
 	costRet    = 3
-	costCheck  = 3
+	// CheckCost is one spatial check: two compares and a branch.
+	CheckCost = 3
 	// costTemporalCheck models the CETS lock-and-key sequence a checked
 	// dereference adds: load the lock word, compare against the key,
 	// branch. Charged only for checks carrying temporal operands.
@@ -183,7 +184,7 @@ func (v *VM) step() error {
 		if in.CheckK == ir.CheckCall {
 			base, bound := v.eval(f, in.Meta[0]), v.eval(f, in.Meta[1])
 			v.stats.Checks++
-			v.stats.SimInsts += v.cfg.CheckCost
+			v.stats.SimInsts += CheckCost
 			v.stats.CallChecks++
 			// Function pointers use the base==ptr==bound encoding
 			// (paper §5.2 "function pointers"); they carry no temporal
@@ -284,7 +285,7 @@ func setMetaRegs(regs []uint64, in *ir.Inst, e meta.Entry) {
 func (v *VM) checkAccess(fname string, kind ir.CheckKind, ptr, base, bound, size uint64,
 	tmeta bool, key, lock uint64) error {
 	v.stats.Checks++
-	v.stats.SimInsts += v.cfg.CheckCost
+	v.stats.SimInsts += CheckCost
 	switch kind {
 	case ir.CheckLoad:
 		v.stats.LoadChecks++

@@ -242,7 +242,7 @@ func (v *VM) loopFast() (err error) {
 				base := d.base.get(regs)
 				bound := d.bnd.get(regs)
 				v.stats.Checks++
-				v.stats.SimInsts += v.cfg.CheckCost
+				v.stats.SimInsts += CheckCost
 				v.stats.CallChecks++
 				if base != ptr || bound != ptr || v.funcByAddr(ptr) == nil {
 					f.fip = fip

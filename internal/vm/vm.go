@@ -75,11 +75,6 @@ type Config struct {
 	HeapSize  uint64
 	StackSize uint64
 	Args      []string // argv for main
-	// CheckCost overrides the modeled instruction cost of one spatial
-	// check (default 3: two compares and a branch). Related-scheme
-	// emulation (MSCC) uses heavier sequences.
-	CheckCost uint64
-
 	// HeapLimit caps live heap bytes; an allocation that would exceed it
 	// traps with TrapOOM instead of returning NULL (0 = no cap). This is
 	// distinct from HeapSize, which bounds the segment: segment exhaustion
@@ -362,9 +357,6 @@ func New(mod *ir.Module, cfg Config) (*VM, error) {
 	}
 	if v.limit == 0 {
 		v.limit = 4_000_000_000
-	}
-	if v.cfg.CheckCost == 0 {
-		v.cfg.CheckCost = costCheck
 	}
 	v.maxDepth = cfg.MaxStackDepth
 	if v.maxDepth == 0 {

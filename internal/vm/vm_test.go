@@ -216,7 +216,7 @@ func TestRunTrivialMain(t *testing.T) {
 
 // TestNewRejectsTemporalMismatch: the VM's temporal switch and its
 // metadata facility cannot disagree in either direction, also when the
-// facility is wrapped by the cost model or the fault injector; a nil
+// facility is wrapped by the fault injector; a nil
 // facility is built to match the switch.
 func TestNewRejectsTemporalMismatch(t *testing.T) {
 	f := &ir.Func{Name: "main", HasRet: true, RetClass: ir.ClassInt}
@@ -228,7 +228,6 @@ func TestNewRejectsTemporalMismatch(t *testing.T) {
 		for name, fac := range map[string]meta.Facility{
 			"shadow":  meta.NewShadowSpace(other),
 			"hash":    meta.MustHashTable(16, other),
-			"costed":  meta.Costed(meta.NewShadowSpace(other), meta.Costs{Lookup: 14, Update: 14}),
 			"faulted": drop.WrapFacility(meta.MustHashTable(16, other)),
 		} {
 			if _, err := New(mod, Config{Meta: fac, Temporal: temporal}); err == nil {
