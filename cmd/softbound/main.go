@@ -239,7 +239,6 @@ func runJSON(sources []driver.Source, cfg driver.Config, m jsonMeta) int {
 	doc.TrapCode = string(res.TrapCode())
 	if res.Stats != nil {
 		res.Stats.Opt = counters
-		res.Stats.CheckElims = counters.ChecksRemoved()
 		res.Stats.TrapCode = doc.TrapCode
 		rep := res.Stats.Report()
 		doc.Stats = &rep

@@ -30,7 +30,7 @@ import (
 
 // SchemaVersion identifies the BENCH.json layout. Bump it whenever a
 // field of Report, Run, or metrics.Report is renamed or removed.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // baselineConfig names the uninstrumented runs overheads are computed
 // against.
@@ -293,7 +293,6 @@ func executeRun(s spec) Run {
 	run.TrapCode = string(vm.CodeOf(res.Err))
 	if res.Stats != nil {
 		res.Stats.Opt = counters
-		res.Stats.CheckElims = counters.ChecksRemoved()
 		res.Stats.TrapCode = run.TrapCode
 		run.Stats = res.Stats.Report()
 		if run.Stats.Insts > 0 {

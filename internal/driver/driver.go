@@ -490,33 +490,7 @@ func ExecuteContext(ctx context.Context, mod *ir.Module, cfg Config) *Result {
 	if err != nil {
 		return &Result{Err: err, Stats: &metrics.Stats{}}
 	}
-	vmCfg := vm.Config{
-		Mode:          vmMode(cfg.Mode),
-		Meta:          fac,
-		Temporal:      cfg.Meta.Temporal(),
-		Checker:       cfg.Checker,
-		Stdout:        out,
-		StepLimit:     cfg.StepLimit,
-		HeapSize:      cfg.HeapSize,
-		StackSize:     cfg.StackSize,
-		Args:          cfg.Args,
-		HeapLimit:     cfg.HeapLimit,
-		MaxStackDepth: cfg.MaxStackDepth,
-	}
-	vmCfg.Interp = cfg.Interp
-	if cfg.RefInterp {
-		vmCfg.Interp = vm.InterpRef
-	}
-	if inj := cfg.Faults; inj != nil {
-		vmCfg.Meta = inj.WrapFacility(fac)
-		vmCfg.PtrStoreFault = inj.PtrStoreMask
-		vmCfg.AllocFault = inj.AllowAlloc
-		// The injector's Lookup consumes scheduled metadata drop/corrupt
-		// events; a lookaside hit would silently skip them, so the cache
-		// stays off for fault-injected runs.
-		vmCfg.DisableMetaCache = true
-	}
-	machine, err := vm.New(mod, vmCfg)
+	machine, err := vm.New(mod, vmConfig(cfg, fac, out))
 	if err != nil {
 		return &Result{Err: err, Stats: &metrics.Stats{}}
 	}
@@ -547,6 +521,34 @@ func ExecuteContext(ctx context.Context, mod *ir.Module, cfg Config) *Result {
 	return res
 }
 
+// vmConfig is the VM configuration ExecuteContext runs cfg under, over
+// metadata facility fac and program output out.
+func vmConfig(cfg Config, fac meta.Facility, out io.Writer) vm.Config {
+	vmCfg := vm.Config{
+		Mode:          vmMode(cfg.Mode),
+		Meta:          fac,
+		Temporal:      cfg.Meta.Temporal(),
+		Checker:       cfg.Checker,
+		Stdout:        out,
+		StepLimit:     cfg.StepLimit,
+		HeapSize:      cfg.HeapSize,
+		StackSize:     cfg.StackSize,
+		Args:          cfg.Args,
+		HeapLimit:     cfg.HeapLimit,
+		MaxStackDepth: cfg.MaxStackDepth,
+		Interp:        cfg.Interp,
+	}
+	if cfg.RefInterp {
+		vmCfg.Interp = vm.InterpRef
+	}
+	if inj := cfg.Faults; inj != nil {
+		vmCfg.Meta = inj.WrapFacility(fac)
+		vmCfg.PtrStoreFault = inj.PtrStoreMask
+		vmCfg.AllocFault = inj.AllowAlloc
+	}
+	return vmCfg
+}
+
 // Run compiles and executes in one step.
 func Run(sources []Source, cfg Config) (*Result, error) {
 	mod, counters, err := CompileWithStats(sources, cfg)
@@ -555,7 +557,6 @@ func Run(sources []Source, cfg Config) (*Result, error) {
 	}
 	res := Execute(mod, cfg)
 	res.Stats.Opt = counters
-	res.Stats.CheckElims = counters.ChecksRemoved()
 	return res, nil
 }
 

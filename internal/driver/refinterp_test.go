@@ -7,9 +7,8 @@ import (
 )
 
 // TestRefInterpAliasSelectsReference: the deprecated RefInterp field
-// still selects the reference engine, and wins over Interp. The
-// reference engine has no metadata lookaside, so its cache counters stay
-// zero where the fast engine counts every metadata load.
+// still selects the reference engine, and wins over Interp. Both engines
+// then agree on every modeled stat.
 func TestRefInterpAliasSelectsReference(t *testing.T) {
 	const src = `
 int a[4];
@@ -25,18 +24,21 @@ int main(void) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	fast := Execute(mod, DefaultConfig(ModeFull))
-	if fast.Stats.MetaCacheHits+fast.Stats.MetaCacheMisses == 0 {
-		t.Fatalf("fast engine recorded no lookaside traffic: %s", describeWithStats(fast))
-	}
 	cfg := DefaultConfig(ModeFull)
+	if got := vmConfig(cfg, nil, nil).Interp; got != vm.InterpFast {
+		t.Fatalf("default config runs %v, want fast", got)
+	}
+	fast := Execute(mod, cfg)
 	cfg.Interp = vm.InterpFast
 	cfg.RefInterp = true
-	ref := Execute(mod, cfg)
-	if ref.Stats.MetaCacheHits+ref.Stats.MetaCacheMisses != 0 {
-		t.Fatalf("RefInterp ran the fast engine: %s", describeWithStats(ref))
+	if got := vmConfig(cfg, nil, nil).Interp; got != vm.InterpRef {
+		t.Fatalf("RefInterp runs %v, want ref", got)
 	}
-	if fd, rd := describeWithStats(fast), describeWithStats(ref); fd != rd {
-		t.Fatalf("engines diverged:\n  fast: %s\n  ref:  %s", fd, rd)
+	ref := Execute(mod, cfg)
+	if describe(fast) != describe(ref) || *fast.Stats != *ref.Stats {
+		t.Fatalf("engines diverged:\n  fast: %s\n  ref:  %s", describeWithStats(fast), describeWithStats(ref))
+	}
+	if fast.Stats.MetaLoads == 0 {
+		t.Fatalf("program made no metadata loads: %s", describeWithStats(fast))
 	}
 }

@@ -265,9 +265,9 @@ const ftpdMainC = ftpdMainHdrC + ftpdDispatchC + ftpdFixedScriptC
 // unit that processes the given command script `sessions` times and
 // prints the usual "ftpd codes ..." accounting line. This is the
 // request-driven form: a soak client renders one program per generated
-// script and POSTs it to a live sbserve, so the server's compile cache,
-// metadata tables, and lookaside age across an arbitrarily long stream
-// of distinct-but-similar requests.
+// script and POSTs it to a live sbserve, so the server's compile cache
+// and metadata tables age across an arbitrarily long stream of
+// distinct-but-similar requests.
 //
 // Commands must fit dispatch's fixed fields: ≤7 command chars and ≤31
 // argument chars. Quotes and backslashes are escaped into the C string

@@ -110,19 +110,3 @@ func TestOccupancySurvivesGrow(t *testing.T) {
 		})
 	}
 }
-
-// TestOccupancyThroughWrappers checks the lookaside cache surfaces the
-// inner facility's occupancy unchanged.
-func TestOccupancyThroughWrappers(t *testing.T) {
-	inner := NewShadowSpace(false)
-	cache := NewLookupCache(inner)
-	cache.Update(0x4000, Entry{Base: 1, Bound: 2})
-	cache.Update(0x4008, Entry{Base: 1, Bound: 2})
-	if got := cache.Occupancy().Live; got != 2 {
-		t.Fatalf("cache Occupancy().Live = %d, want 2", got)
-	}
-	cache.Clear(0x4000, 8)
-	if got := cache.Occupancy().Live; got != 1 {
-		t.Fatalf("cache Occupancy().Live after clear = %d, want 1", got)
-	}
-}

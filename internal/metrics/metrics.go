@@ -44,24 +44,16 @@ type Stats struct {
 	MaxHeap   uint64
 	MetaBytes int64 // metadata facility footprint at exit
 	MetaLive  int64 // live metadata entries at exit (facility occupancy)
-	// CheckElims is the total number of spatial checks the optimizer
-	// removed at compile time (local + global passes); Opt has the
-	// per-pass breakdown.
-	CheckElims uint64
-
-	// Metadata lookup cache (fast engine only; all zero under the
-	// reference engine or when the cache is disabled). SimInsts keeps the
-	// cache-less facility accounting so the two engines stay bit-identical;
-	// MetaCacheSimInsts is the alternative modeled cost of the metadata
-	// lookups with a hardware-style lookaside in front of the facility:
-	// every probe pays the hit cost, misses additionally pay the
-	// facility's full lookup.
-	MetaCacheHits     uint64
-	MetaCacheMisses   uint64
-	MetaCacheSimInsts uint64
+	// MetaCacheHits and MetaCacheMisses counted the probes of a metadata
+	// lookaside that is retired.
+	//
+	// Deprecated: always zero.
+	MetaCacheHits   uint64
+	MetaCacheMisses uint64
 
 	// Opt records the compile-time optimizer counters for the module
-	// this run executed (zero when the optimizer was off).
+	// this run executed (zero when the optimizer was off); Report derives
+	// check_elims from it.
 	Opt OptCounters
 
 	// TrapCode is the machine-readable classification of how the run

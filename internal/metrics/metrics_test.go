@@ -43,10 +43,14 @@ func TestReportRoundTrip(t *testing.T) {
 		Insts: 100, SimInsts: 180, Loads: 60, Stores: 40,
 		PtrLoads: 20, PtrStores: 5, Checks: 30, MetaLoads: 25,
 		MetaStores: 7, Mallocs: 3, MetaBytes: 4096,
+		Opt: OptCounters{ChecksRemovedLocal: 2, ChecksRemovedGlobal: 3},
 	}
 	r := s.Report()
 	if r.Insts != 100 || r.SimInsts != 180 || r.MetaBytes != 4096 {
 		t.Errorf("Report dropped counters: %+v", r)
+	}
+	if r.CheckElims != 5 {
+		t.Errorf("Report.CheckElims = %d, want local+global 5", r.CheckElims)
 	}
 	if r.PtrMemFrac != 0.25 {
 		t.Errorf("Report.PtrMemFrac = %f", r.PtrMemFrac)
@@ -67,6 +71,9 @@ func TestReportRoundTrip(t *testing.T) {
 		if !strings.Contains(string(blob), key) {
 			t.Errorf("schema key %s missing from %s", key, blob)
 		}
+	}
+	if strings.Contains(string(blob), "meta_cache") {
+		t.Errorf("deprecated meta_cache_* keys written: %s", blob)
 	}
 }
 

@@ -31,19 +31,20 @@ type Report struct {
 	// MetaLive is the facility's live entry count at exit (an additive
 	// schema-v1 extension; the soak and session harnesses watch it for
 	// unbounded metadata growth).
-	MetaLive   int64  `json:"meta_live,omitempty"`
+	MetaLive int64 `json:"meta_live,omitempty"`
+	// CheckElims is the total number of spatial checks the optimizer
+	// removed at compile time (local + global passes); Opt has the
+	// per-pass breakdown.
 	CheckElims uint64 `json:"check_elims"`
 	// MetaCopyWords: an additive schema-v1 extension, omitted when 0.
 	MetaCopyWords uint64 `json:"meta_copy_words,omitempty"`
 
-	// Metadata-lookup-cache counters (additive schema-v1 extension;
-	// zero/omitted under the reference engine or with the cache disabled).
-	// meta_cache_sim_insts is the modeled cost of the run's metadata
-	// lookups with the lookaside in front of the facility; sim_insts
-	// always uses the cache-less accounting.
-	MetaCacheHits     uint64 `json:"meta_cache_hits,omitempty"`
-	MetaCacheMisses   uint64 `json:"meta_cache_misses,omitempty"`
-	MetaCacheSimInsts uint64 `json:"meta_cache_sim_insts,omitempty"`
+	// MetaCacheHits and MetaCacheMisses counted the probes of a metadata
+	// lookaside that is retired.
+	//
+	// Deprecated: always zero, so never written.
+	MetaCacheHits   uint64 `json:"meta_cache_hits,omitempty"`
+	MetaCacheMisses uint64 `json:"meta_cache_misses,omitempty"`
 
 	// Opt carries the compile-time optimizer pass counters (an additive
 	// schema-v1 extension; see DESIGN.md "BENCH.json").
@@ -60,32 +61,29 @@ type Report struct {
 // Report converts the counters into their serializable form.
 func (s *Stats) Report() Report {
 	return Report{
-		Insts:             s.Insts,
-		SimInsts:          s.SimInsts,
-		Loads:             s.Loads,
-		Stores:            s.Stores,
-		PtrLoads:          s.PtrLoads,
-		PtrStores:         s.PtrStores,
-		Checks:            s.Checks,
-		LoadChecks:        s.LoadChecks,
-		StoreChecks:       s.StoreChecks,
-		CallChecks:        s.CallChecks,
-		TemporalChecks:    s.TemporalChecks,
-		MetaLoads:         s.MetaLoads,
-		MetaStores:        s.MetaStores,
-		MetaClears:        s.MetaClears,
-		MetaCopyWords:     s.MetaCopyWords,
-		Calls:             s.Calls,
-		Mallocs:           s.Mallocs,
-		Frees:             s.Frees,
-		HeapBytes:         s.HeapBytes,
-		MaxHeap:           s.MaxHeap,
-		MetaBytes:         s.MetaBytes,
-		MetaLive:          s.MetaLive,
-		CheckElims:        s.CheckElims,
-		MetaCacheHits:     s.MetaCacheHits,
-		MetaCacheMisses:   s.MetaCacheMisses,
-		MetaCacheSimInsts: s.MetaCacheSimInsts,
+		Insts:          s.Insts,
+		SimInsts:       s.SimInsts,
+		Loads:          s.Loads,
+		Stores:         s.Stores,
+		PtrLoads:       s.PtrLoads,
+		PtrStores:      s.PtrStores,
+		Checks:         s.Checks,
+		LoadChecks:     s.LoadChecks,
+		StoreChecks:    s.StoreChecks,
+		CallChecks:     s.CallChecks,
+		TemporalChecks: s.TemporalChecks,
+		MetaLoads:      s.MetaLoads,
+		MetaStores:     s.MetaStores,
+		MetaClears:     s.MetaClears,
+		MetaCopyWords:  s.MetaCopyWords,
+		Calls:          s.Calls,
+		Mallocs:        s.Mallocs,
+		Frees:          s.Frees,
+		HeapBytes:      s.HeapBytes,
+		MaxHeap:        s.MaxHeap,
+		MetaBytes:      s.MetaBytes,
+		MetaLive:       s.MetaLive,
+		CheckElims:     s.Opt.ChecksRemoved(),
 
 		Opt:        s.Opt,
 		TrapCode:   s.TrapCode,

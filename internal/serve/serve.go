@@ -233,15 +233,13 @@ type Server struct {
 	started   time.Time
 
 	// Metadata-facility telemetry aggregated across runs for /statz:
-	// occupancy gauges (last / high-water) and cumulative lookaside
-	// counters. The session soak polls these to watch the runtime age.
-	metaRuns        atomic.Uint64
-	metaLiveLast    atomic.Int64
-	metaLiveMax     atomic.Int64
-	metaBytesLast   atomic.Int64
-	metaBytesMax    atomic.Int64
-	lookasideHits   atomic.Uint64
-	lookasideMisses atomic.Uint64
+	// occupancy gauges (last / high-water). The session soak polls
+	// these to watch the runtime age.
+	metaRuns      atomic.Uint64
+	metaLiveLast  atomic.Int64
+	metaLiveMax   atomic.Int64
+	metaBytesLast atomic.Int64
+	metaBytesMax  atomic.Int64
 }
 
 // observeRunMeta folds one run's end-of-run facility stats into the
@@ -252,8 +250,6 @@ func (s *Server) observeRunMeta(st *metrics.Stats) {
 	atomicMaxInt64(&s.metaLiveMax, st.MetaLive)
 	s.metaBytesLast.Store(st.MetaBytes)
 	atomicMaxInt64(&s.metaBytesMax, st.MetaBytes)
-	s.lookasideHits.Add(st.MetaCacheHits)
-	s.lookasideMisses.Add(st.MetaCacheMisses)
 }
 
 func atomicMaxInt64(g *atomic.Int64, v int64) {
@@ -391,39 +387,29 @@ type Statz struct {
 	UptimeSeconds    float64 `json:"uptime_seconds"`
 	PID              int     `json:"pid"`
 	RestartsObserved uint64  `json:"restarts_observed"`
-	// Meta reports metadata-facility occupancy and lookaside behaviour
-	// aggregated over every executed run (additive extension).
+	// Meta reports metadata-facility occupancy aggregated over every
+	// executed run (additive extension).
 	Meta MetaStatz `json:"meta"`
 }
 
 // MetaStatz is the /statz "meta" section: per-run metadata-table
-// occupancy gauges and cumulative lookaside-cache counters, the signals
-// a long session soak asserts bounds on.
+// occupancy gauges, the signals a long session soak asserts bounds on.
 type MetaStatz struct {
-	Runs             uint64  `json:"runs"`
-	LiveLast         int64   `json:"live_entries_last"`
-	LiveMax          int64   `json:"live_entries_max"`
-	TableBytesLast   int64   `json:"table_bytes_last"`
-	TableBytesMax    int64   `json:"table_bytes_max"`
-	LookasideHits    uint64  `json:"lookaside_hits"`
-	LookasideMisses  uint64  `json:"lookaside_misses"`
-	LookasideHitRate float64 `json:"lookaside_hit_rate"`
+	Runs           uint64 `json:"runs"`
+	LiveLast       int64  `json:"live_entries_last"`
+	LiveMax        int64  `json:"live_entries_max"`
+	TableBytesLast int64  `json:"table_bytes_last"`
+	TableBytesMax  int64  `json:"table_bytes_max"`
 }
 
 func (s *Server) metaStatz() MetaStatz {
-	m := MetaStatz{
-		Runs:            s.metaRuns.Load(),
-		LiveLast:        s.metaLiveLast.Load(),
-		LiveMax:         s.metaLiveMax.Load(),
-		TableBytesLast:  s.metaBytesLast.Load(),
-		TableBytesMax:   s.metaBytesMax.Load(),
-		LookasideHits:   s.lookasideHits.Load(),
-		LookasideMisses: s.lookasideMisses.Load(),
+	return MetaStatz{
+		Runs:           s.metaRuns.Load(),
+		LiveLast:       s.metaLiveLast.Load(),
+		LiveMax:        s.metaLiveMax.Load(),
+		TableBytesLast: s.metaBytesLast.Load(),
+		TableBytesMax:  s.metaBytesMax.Load(),
 	}
-	if total := m.LookasideHits + m.LookasideMisses; total > 0 {
-		m.LookasideHitRate = float64(m.LookasideHits) / float64(total)
-	}
-	return m
 }
 
 func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
@@ -635,7 +621,6 @@ func (s *Server) execute(j *job) jobResult {
 	}
 	if res.Stats != nil {
 		res.Stats.Opt = entry.counters
-		res.Stats.CheckElims = entry.counters.ChecksRemoved()
 		res.Stats.TrapCode = string(code)
 		s.observeRunMeta(res.Stats)
 		rep := res.Stats.Report()

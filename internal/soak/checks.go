@@ -22,8 +22,7 @@ import (
 //     its Detected predicate names, with the matching trap code, and a
 //     clean variant never traps.
 //   - engine agreement: within a config the ref engine matches the fast
-//     witness on exit, output, trap, and modeled stats (lookaside
-//     counters excluded — the ref engine has no lookaside).
+//     witness on exit, output, trap, and every modeled stat.
 //   - scheme agreement: schemes of equal temporality are behaviorally
 //     indistinguishable (exit/output/trap; stats differ by facility
 //     cost model).
@@ -151,17 +150,13 @@ func pick(cfgs []runCfg, results []*driver.Result, f func(runCfg) bool) *driver.
 	return nil
 }
 
-// statsKey renders modeled stats for bit-equality comparison, zeroing
-// the lookaside counters: the fast engine's LookupCache is a
-// transparent wrapper, so everything else must match the ref engine
-// exactly (the engine-differential suite's idiom).
+// statsKey renders modeled stats for bit-equality comparison: every
+// field must match the ref engine exactly.
 func statsKey(st *metrics.Stats) string {
 	if st == nil {
 		return "<nil>"
 	}
-	c := *st
-	c.MetaCacheHits, c.MetaCacheMisses, c.MetaCacheSimInsts = 0, 0, 0
-	return fmt.Sprintf("%+v", c)
+	return fmt.Sprintf("%+v", *st)
 }
 
 // clip bounds strings embedded in divergence details.

@@ -20,7 +20,7 @@ import (
 // SessionConfig controls a long-running session soak: a stream of
 // generated FTP-daemon request programs POSTed through a live sbserve,
 // holding the service to structured responses, baseline-identical
-// outputs, bounded metadata-table occupancy, and a healthy lookaside.
+// outputs, and bounded metadata-table occupancy.
 type SessionConfig struct {
 	// BaseURL is the service root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
@@ -42,11 +42,9 @@ type SessionConfig struct {
 	Scheme string
 	Mode   string
 	// MaxLive / MaxTableBytes bound the server's per-run metadata
-	// occupancy high-water marks (0 disables the bound). MinHitRate is
-	// the lookaside floor (0 disables).
+	// occupancy high-water marks (0 disables the bound).
 	MaxLive       int64
 	MaxTableBytes int64
-	MinHitRate    float64
 	// Log, when set, receives progress lines.
 	Log io.Writer
 }
@@ -87,10 +85,9 @@ type SessionReport struct {
 	FailureList []string `json:"failure_list,omitempty"`
 
 	// Server-side metadata health at the end of the stream.
-	MetaRuns         uint64  `json:"meta_runs"`
-	MetaLiveMax      int64   `json:"meta_live_max"`
-	MetaBytesMax     int64   `json:"meta_bytes_max"`
-	LookasideHitRate float64 `json:"lookaside_hit_rate"`
+	MetaRuns     uint64 `json:"meta_runs"`
+	MetaLiveMax  int64  `json:"meta_live_max"`
+	MetaBytesMax int64  `json:"meta_bytes_max"`
 
 	BoundViolations []string `json:"bound_violations,omitempty"`
 	WallNanos       int64    `json:"wall_nanos"`
@@ -190,7 +187,6 @@ func RunSession(ctx context.Context, cfg SessionConfig) (*SessionReport, error) 
 	rep.MetaRuns = statz.Meta.Runs
 	rep.MetaLiveMax = statz.Meta.LiveMax
 	rep.MetaBytesMax = statz.Meta.TableBytesMax
-	rep.LookasideHitRate = statz.Meta.LookasideHitRate
 
 	if cfg.MaxLive > 0 && statz.Meta.LiveMax > cfg.MaxLive {
 		rep.BoundViolations = append(rep.BoundViolations,
@@ -199,10 +195,6 @@ func RunSession(ctx context.Context, cfg SessionConfig) (*SessionReport, error) 
 	if cfg.MaxTableBytes > 0 && statz.Meta.TableBytesMax > cfg.MaxTableBytes {
 		rep.BoundViolations = append(rep.BoundViolations,
 			fmt.Sprintf("table bytes high-water %d exceeds bound %d", statz.Meta.TableBytesMax, cfg.MaxTableBytes))
-	}
-	if cfg.MinHitRate > 0 && statz.Meta.LookasideHitRate < cfg.MinHitRate {
-		rep.BoundViolations = append(rep.BoundViolations,
-			fmt.Sprintf("lookaside hit rate %.3f below floor %.3f", statz.Meta.LookasideHitRate, cfg.MinHitRate))
 	}
 	rep.WallNanos = time.Since(start).Nanoseconds()
 	return rep, nil

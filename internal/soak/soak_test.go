@@ -169,8 +169,7 @@ func TestSoakShrinksAndSpoolsInjectedDivergence(t *testing.T) {
 }
 
 // TestSessionSoakLive: the session soak against an in-process sbserve —
-// every response structured and baseline-identical, occupancy bounded,
-// lookaside healthy.
+// every response structured and baseline-identical, occupancy bounded.
 func TestSessionSoakLive(t *testing.T) {
 	srv := serve.New(serve.Options{Workers: 2, DefaultTimeout: 10 * time.Second})
 	ts := httptest.NewServer(srv.Handler())
@@ -189,7 +188,6 @@ func TestSessionSoakLive(t *testing.T) {
 		// footprint is small and must stay that way across the stream.
 		MaxLive:       1 << 20,
 		MaxTableBytes: 1 << 30,
-		MinHitRate:    0.10,
 	})
 	if err != nil {
 		t.Fatalf("RunSession: %v", err)
@@ -202,8 +200,5 @@ func TestSessionSoakLive(t *testing.T) {
 	}
 	if rep.CacheHits == 0 {
 		t.Error("compile cache never hit despite cycling 6 programs over 60 requests")
-	}
-	if rep.LookasideHitRate <= 0 {
-		t.Errorf("lookaside hit rate %v", rep.LookasideHitRate)
 	}
 }

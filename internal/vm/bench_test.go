@@ -193,9 +193,8 @@ func indirectCallLoopModule(iters int64) *ir.Module {
 }
 
 // metaLoadModule performs one metadata load per iteration. With
-// stride == 0 every load probes the same shadow slot (cache hit); with a
-// nonzero stride over a window wider than the lookup cache every probe
-// misses.
+// stride == 0 every load reads the same shadow slot; with a nonzero
+// stride the loads walk every slot of the window.
 func metaLoadModule(iters, stride, window int64) *ir.Module {
 	g := &ir.Global{Name: "g", Size: window + 8, Align: 8}
 	f := &ir.Func{Name: "main", HasRet: true, RetClass: ir.ClassInt}
@@ -236,12 +235,11 @@ func BenchmarkCallReturn(b *testing.B) { benchBoth(b, callLoopModule(1<<16)) }
 // BenchmarkIndirectCall tracks the shadow-stack call ABI overhead in
 // BENCH.json: one metadata-carrying indirect call per iteration.
 func BenchmarkIndirectCall(b *testing.B) { benchBoth(b, indirectCallLoopModule(1<<16)) }
+
+// BenchmarkMetaLoadHit re-reads one hot metadata slot; BenchmarkMetaLoadMiss
+// walks 1024 distinct slots (stride 8 over an 8 KiB window).
 func BenchmarkMetaLoadHit(b *testing.B)  { benchBoth(b, metaLoadModule(1<<16, 0, 8192)) }
-func BenchmarkMetaLoadMiss(b *testing.B) {
-	// Stride of 8 bytes over an 8 KiB window touches 1024 distinct shadow
-	// slots against 256 cache slots: every probe evicts before reuse.
-	benchBoth(b, metaLoadModule(1<<16, 8, 8192))
-}
+func BenchmarkMetaLoadMiss(b *testing.B) { benchBoth(b, metaLoadModule(1<<16, 8, 8192)) }
 
 // The fast engine's steady-state call path must not allocate: frames,
 // registers, and builtin argument buffers are all reused (the reference

@@ -255,12 +255,7 @@ func (v *VM) loopFast() (err error) {
 			case dMetaLoad:
 				st.insts++
 				addr := d.a.get(regs)
-				var e meta.Entry
-				if v.mcache != nil {
-					e = v.mcache.Lookup(addr)
-				} else {
-					e = v.fac.Lookup(addr)
-				}
+				e := v.fac.Lookup(addr)
 				regs[d.dst] = e.Base
 				regs[d.dst2] = e.Bound
 				if d.dst3 != ir.NoReg {
@@ -278,11 +273,7 @@ func (v *VM) loopFast() (err error) {
 				if d.tmeta {
 					e.Key, e.Lock = d.key.get(regs), d.lock.get(regs)
 				}
-				if v.mcache != nil {
-					v.mcache.Update(addr, e)
-				} else {
-					v.fac.Update(addr, e)
-				}
+				v.fac.Update(addr, e)
 				v.stats.MetaStores++
 				st.sim += v.updateCost
 				fip++
@@ -417,12 +408,7 @@ func (v *VM) loopFast() (err error) {
 
 				st.insts++
 				addr := d.b.get(regs)
-				var e meta.Entry
-				if v.mcache != nil {
-					e = v.mcache.Lookup(addr)
-				} else {
-					e = v.fac.Lookup(addr)
-				}
+				e := v.fac.Lookup(addr)
 				regs[d.dst] = e.Base
 				regs[d.dst2] = e.Bound
 				if d.dst3 != ir.NoReg {

@@ -46,8 +46,7 @@ type InterpKind int
 
 // Engines. The fast engine is the default (zero value): it runs the
 // module's pre-decoded form (decode.go) with fused superinstructions,
-// batched step accounting, and a metadata lookup cache. The reference
-// engine is the original per-step switch interpreter, kept as the
+// and batched step accounting. The reference engine is the original per-step switch interpreter, kept as the
 // semantic oracle: the differential suite holds the fast engine to its
 // exit codes, traps, and modeled statistics bit for bit.
 const (
@@ -109,11 +108,6 @@ type Config struct {
 	// Interp selects the execution engine: InterpFast (the default) or
 	// InterpRef, the reference oracle. New rejects any other value.
 	Interp InterpKind
-	// DisableMetaCache turns off the metadata lookup cache under the fast
-	// engine. The driver sets it when fault injection wraps the facility:
-	// the injector's Lookup consumes scheduled fault events, so a cache
-	// hit would silently skip them.
-	DisableMetaCache bool
 }
 
 // SpatialViolation is a bounds-check failure: SoftBound aborts the
@@ -259,11 +253,8 @@ type VM struct {
 	stats metrics.Stats
 
 	// prog is the module's pre-decoded form (nil under the reference
-	// engine); mcache, when non-nil, is the metadata lookup cache that
-	// v.fac has been replaced with, held concretely so the hot metaload
-	// path probes it without an interface dispatch.
-	prog   *program
-	mcache *meta.LookupCache
+	// engine).
+	prog *program
 
 	// argScratch is a per-VM buffer the fast call path reuses for builtin
 	// argument marshaling, so steady-state calls allocate nothing.
@@ -380,17 +371,12 @@ func New(mod *ir.Module, cfg Config) (*VM, error) {
 	v.funcs = append(v.funcs, mod.Funcs...)
 	layoutFuncs(mod, v.funcAddrs)
 
-	// Fast engine: fetch (or build) the module's pre-decoded program and
-	// put the metadata lookup cache in front of the facility. Decode is
-	// module-pure — global and function addresses are a deterministic
+	// Fast engine: fetch (or build) the module's pre-decoded program.
+	// Decode is module-pure — global and function addresses are a deterministic
 	// function of the module — so the decoded form is shared across all
 	// VMs of this module via the ir-side cache.
 	if cfg.Interp != InterpRef {
 		v.prog = decoded(mod)
-		if !cfg.DisableMetaCache {
-			v.mcache = meta.NewLookupCache(v.fac)
-			v.fac = v.mcache
-		}
 	}
 	v.lookupCost = uint64(v.fac.Costs().Lookup)
 	v.updateCost = uint64(v.fac.Costs().Update)
@@ -450,16 +436,6 @@ func (v *VM) Stats() *metrics.Stats {
 	v.stats.MetaBytes = occ.Bytes
 	v.stats.MetaLive = occ.Live
 	v.stats.MaxHeap = v.alloc.maxInUse
-	if v.mcache != nil {
-		v.stats.MetaCacheHits = v.mcache.Hits()
-		v.stats.MetaCacheMisses = v.mcache.Misses()
-		// The modeled cost line under the lookaside: every probe pays
-		// CacheHitCost, misses additionally pay the facility's lookup.
-		// SimInsts keeps the cache-less accounting so engines compare
-		// bit-for-bit; this line is the what-if the evaluation plots.
-		v.stats.MetaCacheSimInsts = (v.mcache.Hits()+v.mcache.Misses())*meta.CacheHitCost +
-			v.mcache.Misses()*uint64(v.fac.Costs().Lookup)
-	}
 	return &v.stats
 }
 
