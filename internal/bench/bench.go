@@ -512,8 +512,8 @@ func Format(rep *Report) string {
 	out("Benchmark matrix: %d runs (%d programs × configs), %d workers, %.1fs elapsed\n",
 		len(rep.Runs), len(rep.Programs), rep.Workers,
 		time.Duration(rep.ElapsedNanos).Seconds())
-	out("%-11s %-22s %10s %12s %10s %9s %9s %-10s\n",
-		"program", "config", "wall(ms)", "sim insts", "overhead", "chk-elim", "ml-hoist", "trap")
+	out("%-11s %-22s %10s %12s %10s %9s %-10s\n",
+		"program", "config", "wall(ms)", "sim insts", "overhead", "chk-elim", "trap")
 	for _, r := range rep.Runs {
 		oh := "-"
 		if r.OverheadSim != nil {
@@ -527,11 +527,11 @@ func Format(rep *Report) string {
 			trap = "-"
 		}
 		// chk-elim is "local+global" checks the optimizer removed at
-		// compile time; ml-hoist is loop-invariant metaloads hoisted.
-		out("%-11s %-22s %10.2f %12d %10s %9s %9d %-10s\n",
+		// compile time.
+		out("%-11s %-22s %10.2f %12d %10s %9s %-10s\n",
 			r.Program, r.Config, float64(r.WallNanos)/1e6, r.Stats.SimInsts, oh,
 			fmt.Sprintf("%d+%d", r.Stats.Opt.ChecksRemovedLocal, r.Stats.Opt.ChecksRemovedGlobal),
-			r.Stats.Opt.MetaLoadsHoisted, trap)
+			trap)
 	}
 	out("\nPer-config mean overhead vs baseline:\n")
 	for _, s := range rep.Summary {

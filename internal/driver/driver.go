@@ -54,10 +54,10 @@ type Config struct {
 	Mode     Mode
 	Meta     meta.Kind
 	Optimize bool
-	// GlobalOpt enables the whole-function CFG passes in the
+	// GlobalOpt enables the whole-function passes in the
 	// post-instrumentation cleanup: cross-block redundant-check
-	// elimination, loop-invariant metadata-load hoisting, and dead
-	// metadata-load removal. It has no effect with Optimize off.
+	// elimination and dead metadata-load removal. It has no effect with
+	// Optimize off.
 	GlobalOpt bool
 	// ShrinkBounds, ClearOnReturn mirror core.Options (both default on
 	// via DefaultConfig).
@@ -415,7 +415,6 @@ func accumulateOpt(c *metrics.OptCounters, r opt.Result) {
 	c.ChecksRemovedLocal += uint64(r.RemovedChecks)
 	c.ChecksRemovedGlobal += uint64(r.RemovedChecksGlobal)
 	c.MetaLoadsMerged += uint64(r.MergedMetaLoads)
-	c.MetaLoadsHoisted += uint64(r.HoistedMetaLoads)
 	c.DeadMetaLoads += uint64(r.DeadMetaLoads)
 }
 

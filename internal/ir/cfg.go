@@ -1,9 +1,6 @@
-// CFG analysis over a Func's basic blocks: successor/predecessor edges,
-// reverse postorder, a dominator tree (the Cooper–Harvey–Kennedy
-// iterative algorithm from "A Simple, Fast Dominance Algorithm"), and
-// natural-loop detection. The optimizer's whole-function passes —
-// cross-block redundant-check elimination and loop-invariant metadata
-// hoisting — are built on this; the paper gets the same effect by
+// CFG analysis over a Func's basic blocks: successor/predecessor edges
+// and reverse postorder. The optimizer's cross-block redundant-check
+// elimination is built on this; the paper gets the same effect by
 // re-running LLVM's optimizer after instrumentation (§6.1).
 //
 // A CFG is a snapshot: any pass that edits terminators or adds blocks
@@ -12,19 +9,12 @@ package ir
 
 // CFG is the control-flow graph of one function.
 type CFG struct {
-	Func *Func
 	// Succs/Preds are per-block edge lists (block indices). Predecessor
 	// lists include only edges from reachable blocks.
 	Succs [][]int
 	Preds [][]int
 	// RPO lists the reachable blocks in reverse postorder (entry first).
 	RPO []int
-	// RPONum maps a block index to its position in RPO, -1 when the
-	// block is unreachable from the entry.
-	RPONum []int
-	// idom[b] is b's immediate dominator; the entry block is its own
-	// idom, and unreachable blocks hold -1.
-	idom []int
 }
 
 // successors returns the blocks a block's terminator can branch to. A
@@ -46,20 +36,13 @@ func successors(b *Block) []int {
 	return nil
 }
 
-// BuildCFG computes edges, reverse postorder, and the dominator tree for
-// f. Block 0 is the entry. Functions with no blocks yield an empty CFG.
+// BuildCFG computes edges, reverse postorder and predecessors for f.
+// Block 0 is the entry. Functions with no blocks yield an empty CFG.
 func BuildCFG(f *Func) *CFG {
 	n := len(f.Blocks)
 	c := &CFG{
-		Func:   f,
-		Succs:  make([][]int, n),
-		Preds:  make([][]int, n),
-		RPONum: make([]int, n),
-		idom:   make([]int, n),
-	}
-	for i := range c.RPONum {
-		c.RPONum[i] = -1
-		c.idom[i] = -1
+		Succs: make([][]int, n),
+		Preds: make([][]int, n),
 	}
 	if n == 0 {
 		return c
@@ -90,9 +73,7 @@ func BuildCFG(f *Func) *CFG {
 	}
 	c.RPO = make([]int, len(post))
 	for i, b := range post {
-		r := len(post) - 1 - i
-		c.RPO[r] = b
-		c.RPONum[b] = r
+		c.RPO[len(post)-1-i] = b
 	}
 
 	// Predecessors, from reachable blocks only.
@@ -101,176 +82,5 @@ func BuildCFG(f *Func) *CFG {
 			c.Preds[s] = append(c.Preds[s], b)
 		}
 	}
-
-	c.computeDominators()
 	return c
-}
-
-// computeDominators runs the Cooper–Harvey–Kennedy iteration: process
-// blocks in reverse postorder, intersecting the dominator sets of
-// processed predecessors, until a fixpoint.
-func (c *CFG) computeDominators() {
-	if len(c.RPO) == 0 {
-		return
-	}
-	entry := c.RPO[0]
-	c.idom[entry] = entry
-	for changed := true; changed; {
-		changed = false
-		for _, b := range c.RPO[1:] {
-			newIdom := -1
-			for _, p := range c.Preds[b] {
-				if c.idom[p] == -1 {
-					continue // not yet processed this round
-				}
-				if newIdom == -1 {
-					newIdom = p
-				} else {
-					newIdom = c.intersect(p, newIdom)
-				}
-			}
-			if newIdom != -1 && c.idom[b] != newIdom {
-				c.idom[b] = newIdom
-				changed = true
-			}
-		}
-	}
-}
-
-// intersect walks the two dominator chains up to their common ancestor,
-// comparing by reverse-postorder number.
-func (c *CFG) intersect(a, b int) int {
-	for a != b {
-		for c.RPONum[a] > c.RPONum[b] {
-			a = c.idom[a]
-		}
-		for c.RPONum[b] > c.RPONum[a] {
-			b = c.idom[b]
-		}
-	}
-	return a
-}
-
-// Idom returns b's immediate dominator, or -1 for the entry block and
-// for unreachable blocks.
-func (c *CFG) Idom(b int) int {
-	if len(c.RPO) == 0 || b == c.RPO[0] || c.RPONum[b] == -1 {
-		return -1
-	}
-	return c.idom[b]
-}
-
-// Reachable reports whether block b is reachable from the entry.
-func (c *CFG) Reachable(b int) bool {
-	return b >= 0 && b < len(c.RPONum) && c.RPONum[b] != -1
-}
-
-// Dominates reports whether block a dominates block b (reflexively).
-// Unreachable blocks dominate nothing and are dominated by nothing.
-func (c *CFG) Dominates(a, b int) bool {
-	if !c.Reachable(a) || !c.Reachable(b) {
-		return false
-	}
-	entry := c.RPO[0]
-	for {
-		if a == b {
-			return true
-		}
-		if b == entry {
-			return false
-		}
-		b = c.idom[b]
-	}
-}
-
-// Loop is one natural loop: the blocks (header included) of every back
-// edge targeting Header, merged when several back edges share a header.
-type Loop struct {
-	Header int
-	// Blocks lists the loop body in ascending block order, header
-	// included.
-	Blocks []int
-	// Latches are the back-edge sources.
-	Latches []int
-
-	in map[int]bool
-}
-
-// Contains reports whether block b belongs to the loop.
-func (l *Loop) Contains(b int) bool { return l.in[b] }
-
-// NaturalLoops finds every natural loop: for each back edge u→h (an edge
-// whose target h dominates its source u), the loop body is h plus all
-// blocks that reach u without passing through h. Loops sharing a header
-// are merged. The result is sorted by body size, innermost (smallest)
-// first.
-func (c *CFG) NaturalLoops() []*Loop {
-	byHeader := make(map[int]*Loop)
-	var order []int
-	for _, u := range c.RPO {
-		for _, h := range c.Succs[u] {
-			if !c.Dominates(h, u) {
-				continue // not a back edge
-			}
-			l := byHeader[h]
-			if l == nil {
-				l = &Loop{Header: h, in: map[int]bool{h: true}}
-				byHeader[h] = l
-				order = append(order, h)
-			}
-			l.Latches = append(l.Latches, u)
-			// Walk predecessors backwards from the latch, stopping at
-			// the header.
-			work := []int{u}
-			for len(work) > 0 {
-				b := work[len(work)-1]
-				work = work[:len(work)-1]
-				if l.in[b] {
-					continue
-				}
-				l.in[b] = true
-				work = append(work, c.Preds[b]...)
-			}
-		}
-	}
-	loops := make([]*Loop, 0, len(order))
-	for _, h := range order {
-		l := byHeader[h]
-		for b := range l.in {
-			l.Blocks = append(l.Blocks, b)
-		}
-		sortInts(l.Blocks)
-		loops = append(loops, l)
-	}
-	// Innermost first: a nested loop has strictly fewer blocks than any
-	// loop enclosing it.
-	for i := 1; i < len(loops); i++ {
-		for j := i; j > 0 && len(loops[j].Blocks) < len(loops[j-1].Blocks); j-- {
-			loops[j], loops[j-1] = loops[j-1], loops[j]
-		}
-	}
-	return loops
-}
-
-// ExitBlocks returns the loop blocks having a successor outside the
-// loop, in ascending order.
-func (c *CFG) ExitBlocks(l *Loop) []int {
-	var out []int
-	for _, b := range l.Blocks {
-		for _, s := range c.Succs[b] {
-			if !l.Contains(s) {
-				out = append(out, b)
-				break
-			}
-		}
-	}
-	return out
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

@@ -1,6 +1,9 @@
 package ir
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // mkFunc builds a function whose blocks are given as terminator specs:
 // each entry is either {KBr, target}, {KCondBr, target, else}, or {KRet}.
@@ -43,20 +46,8 @@ func TestCFGDiamond(t *testing.T) {
 	if c.RPO[0] != 0 {
 		t.Fatalf("RPO must start at entry: %v", c.RPO)
 	}
-	// Entry dominates everything; join is not dominated by either arm.
-	for b := 0; b < 4; b++ {
-		if !c.Dominates(0, b) {
-			t.Errorf("entry should dominate %d", b)
-		}
-	}
-	if c.Dominates(1, 3) || c.Dominates(2, 3) {
-		t.Error("diamond arm must not dominate the join")
-	}
-	if c.Idom(3) != 0 {
-		t.Errorf("idom(3) = %d, want 0", c.Idom(3))
-	}
-	if len(c.NaturalLoops()) != 0 {
-		t.Error("acyclic CFG reported loops")
+	if len(c.RPO) != 4 || c.RPO[3] != 3 {
+		t.Fatalf("RPO must end at the join: %v", c.RPO)
 	}
 }
 
@@ -69,26 +60,15 @@ func TestCFGLoop(t *testing.T) {
 		[]int{int(KRet)},
 	)
 	c := BuildCFG(f)
-	loops := c.NaturalLoops()
-	if len(loops) != 1 {
-		t.Fatalf("found %d loops, want 1", len(loops))
+	// The header's predecessors are the entry and the back edge's source.
+	if got := c.Preds[1]; len(got) != 2 || !slices.Contains(got, 0) || !slices.Contains(got, 2) {
+		t.Errorf("preds(1) = %v", got)
 	}
-	l := loops[0]
-	if l.Header != 1 {
-		t.Errorf("header = %d", l.Header)
+	if got := c.Succs[2]; len(got) != 1 || got[0] != 1 {
+		t.Errorf("succs(2) = %v", got)
 	}
-	if !l.Contains(1) || !l.Contains(2) || l.Contains(0) || l.Contains(3) {
-		t.Errorf("loop body = %v", l.Blocks)
-	}
-	if len(l.Latches) != 1 || l.Latches[0] != 2 {
-		t.Errorf("latches = %v", l.Latches)
-	}
-	exits := c.ExitBlocks(l)
-	if len(exits) != 1 || exits[0] != 1 {
-		t.Errorf("exits = %v", exits)
-	}
-	if !c.Dominates(1, 2) {
-		t.Error("header must dominate body")
+	if len(c.RPO) != 4 || c.RPO[0] != 0 || c.RPO[1] != 1 {
+		t.Errorf("RPO = %v, want the entry then the header first", c.RPO)
 	}
 }
 
@@ -104,21 +84,25 @@ func TestCFGNestedLoops(t *testing.T) {
 		[]int{int(KRet)},
 	)
 	c := BuildCFG(f)
-	loops := c.NaturalLoops()
-	if len(loops) != 2 {
-		t.Fatalf("found %d loops, want 2", len(loops))
+	if len(c.RPO) != 6 {
+		t.Fatalf("RPO = %v, want all 6 blocks", c.RPO)
 	}
-	// Innermost first.
-	if loops[0].Header != 2 || loops[1].Header != 1 {
-		t.Fatalf("loop order: headers %d, %d", loops[0].Header, loops[1].Header)
+	// Reverse postorder puts each header before the blocks it reaches
+	// without a back edge.
+	pos := make([]int, 6)
+	for i, b := range c.RPO {
+		pos[b] = i
 	}
-	inner, outer := loops[0], loops[1]
-	if inner.Contains(4) || inner.Contains(1) {
-		t.Errorf("inner body = %v", inner.Blocks)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {1, 5}, {2, 3}, {2, 4}} {
+		if pos[e[0]] > pos[e[1]] {
+			t.Errorf("RPO %v places %d after %d", c.RPO, e[0], e[1])
+		}
 	}
-	for _, b := range []int{1, 2, 3, 4} {
-		if !outer.Contains(b) {
-			t.Errorf("outer loop missing block %d (body %v)", b, outer.Blocks)
+	for h, want := range map[int][]int{1: {0, 4}, 2: {1, 3}} {
+		got := slices.Clone(c.Preds[h])
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("preds(%d) = %v, want %v", h, got, want)
 		}
 	}
 }
@@ -131,18 +115,12 @@ func TestCFGUnreachable(t *testing.T) {
 		[]int{int(KRet)},
 	)
 	c := BuildCFG(f)
-	if c.Reachable(1) {
-		t.Error("block 1 should be unreachable")
-	}
-	if c.RPONum[1] != -1 {
-		t.Errorf("RPONum of unreachable block = %d", c.RPONum[1])
+	if slices.Contains(c.RPO, 1) || len(c.RPO) != 2 {
+		t.Errorf("RPO = %v: block 1 should be unreachable", c.RPO)
 	}
 	// Unreachable preds must not pollute the predecessor lists.
 	if got := c.Preds[2]; len(got) != 1 || got[0] != 0 {
 		t.Errorf("preds(2) = %v", got)
-	}
-	if c.Dominates(1, 2) || c.Dominates(1, 1) {
-		t.Error("unreachable block should dominate nothing")
 	}
 }
 
@@ -154,8 +132,10 @@ func TestCFGSelfLoop(t *testing.T) {
 		[]int{int(KRet)},
 	)
 	c := BuildCFG(f)
-	loops := c.NaturalLoops()
-	if len(loops) != 1 || loops[0].Header != 1 || len(loops[0].Blocks) != 1 {
-		t.Fatalf("self loop not detected: %+v", loops)
+	if got := c.Preds[1]; len(got) != 2 || !slices.Contains(got, 0) || !slices.Contains(got, 1) {
+		t.Fatalf("self loop: preds(1) = %v, want 0 and 1", got)
+	}
+	if got := c.Succs[1]; len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("self loop: succs(1) = %v", got)
 	}
 }

@@ -71,8 +71,13 @@ type OptCounters struct {
 	ChecksRemovedLocal  uint64 `json:"checks_removed_local"`
 	ChecksRemovedGlobal uint64 `json:"checks_removed_global"`
 	MetaLoadsMerged     uint64 `json:"meta_loads_merged"`
-	MetaLoadsHoisted    uint64 `json:"meta_loads_hoisted"`
-	DeadMetaLoads       uint64 `json:"dead_meta_loads"`
+	// MetaLoadsHoisted counted the metadata loads moved by a retired
+	// loop-invariant hoisting pass. BENCH.json keeps the key, and
+	// internal/perf still reads the field.
+	//
+	// Deprecated: always zero.
+	MetaLoadsHoisted uint64 `json:"meta_loads_hoisted"`
+	DeadMetaLoads    uint64 `json:"dead_meta_loads"`
 }
 
 // ChecksRemoved is the total checks eliminated across both passes.

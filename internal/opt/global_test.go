@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"slices"
 	"testing"
 
 	"softbound/internal/ir"
@@ -123,10 +124,11 @@ func TestGlobalCheckElimSetjmp(t *testing.T) {
 	}
 }
 
-// An invariant metaload that dominates the loop exit hoists into the
-// preheader (here: the existing unconditional predecessor).
-func TestHoistMetaLoad(t *testing.T) {
-	f := mkCFGFunc(5,
+// invariantMetaLoadLoop is a loop whose header holds a metaload of a
+// constant address, read in the loop and written nowhere else in it; the
+// header's only outside predecessor branches straight to it.
+func invariantMetaLoadLoop() *ir.Func {
+	return mkCFGFunc(5,
 		[]ir.Inst{{Kind: ir.KConst, Dst: 4, A: ir.CI(3)}, {Kind: ir.KBr, Target: 1}},
 		[]ir.Inst{
 			{Kind: ir.KMetaLoad, A: ir.GV("g", 0), MetaDst: [4]ir.Reg{0, 1}},
@@ -135,60 +137,11 @@ func TestHoistMetaLoad(t *testing.T) {
 			{Kind: ir.KCondBr, A: ir.R(4), Target: 1, Else: 2}},
 		[]ir.Inst{{Kind: ir.KStore, A: ir.GV("g", 0), B: ir.R(2), Mem: ir.MemI64}, {Kind: ir.KRet}},
 	)
-	if n := HoistLoopInvariantMetaLoads(f); n != 1 {
-		t.Fatalf("hoisted %d, want 1", n)
-	}
-	// The metaload now sits in block 0 before its branch.
-	b0 := f.Blocks[0].Insts
-	if b0[len(b0)-2].Kind != ir.KMetaLoad {
-		t.Fatalf("metaload not in preheader: %v", b0)
-	}
-	for i := range f.Blocks[1].Insts {
-		if f.Blocks[1].Insts[i].Kind == ir.KMetaLoad {
-			t.Fatal("metaload still in the loop")
-		}
-	}
 }
 
-// When the header has several outside predecessors, hoisting must create
-// a preheader block and redirect them.
-func TestHoistCreatesPreheader(t *testing.T) {
-	f := mkCFGFunc(6,
-		[]ir.Inst{{Kind: ir.KCondBr, A: ir.R(5), Target: 1, Else: 2}},
-		[]ir.Inst{{Kind: ir.KConst, Dst: 4, A: ir.CI(2)}, {Kind: ir.KBr, Target: 3}},
-		[]ir.Inst{{Kind: ir.KConst, Dst: 4, A: ir.CI(4)}, {Kind: ir.KBr, Target: 3}},
-		[]ir.Inst{
-			{Kind: ir.KMetaLoad, A: ir.GV("g", 8), MetaDst: [4]ir.Reg{0, 1}},
-			{Kind: ir.KBin, Dst: 2, Op: ir.OpAdd, A: ir.R(2), B: ir.R(1)},
-			{Kind: ir.KBin, Dst: 4, Op: ir.OpSub, A: ir.R(4), B: ir.CI(1)},
-			{Kind: ir.KCondBr, A: ir.R(4), Target: 3, Else: 4}},
-		[]ir.Inst{{Kind: ir.KStore, A: ir.GV("g", 0), B: ir.R(2), Mem: ir.MemI64}, {Kind: ir.KRet}},
-	)
-	nBlocks := len(f.Blocks)
-	if n := HoistLoopInvariantMetaLoads(f); n != 1 {
-		t.Fatalf("hoisted %d, want 1", n)
-	}
-	if len(f.Blocks) != nBlocks+1 {
-		t.Fatalf("no preheader created (%d blocks)", len(f.Blocks))
-	}
-	pre := f.Blocks[nBlocks]
-	if pre.Insts[0].Kind != ir.KMetaLoad || pre.Terminator().Target != 3 {
-		t.Fatalf("preheader malformed: %v", pre.Insts)
-	}
-	// Both former predecessors now branch to the preheader, and the
-	// back edge still targets the header.
-	if f.Blocks[1].Terminator().Target != nBlocks || f.Blocks[2].Terminator().Target != nBlocks {
-		t.Fatal("outside predecessors not redirected")
-	}
-	if f.Blocks[3].Terminator().Target != 3 {
-		t.Fatal("back edge must keep targeting the header")
-	}
-}
-
-// twoHoistsFunc is a loop with two invariant metaloads whose header's
-// only outside predecessor ends in a conditional branch: the first hoist
-// splices in a preheader, and the second must reuse it.
-func twoHoistsFunc() *ir.Func {
+// twoInvariantMetaLoadsFunc is a loop with two invariant metaloads whose
+// header's only outside predecessor ends in a conditional branch.
+func twoInvariantMetaLoadsFunc() *ir.Func {
 	return mkCFGFunc(8,
 		[]ir.Inst{{Kind: ir.KConst, Dst: 4, A: ir.CI(3)}, {Kind: ir.KCondBr, A: ir.R(5), Target: 1, Else: 2}},
 		[]ir.Inst{
@@ -202,79 +155,31 @@ func twoHoistsFunc() *ir.Func {
 	)
 }
 
-// Hoisting rebuilds the CFG after splicing in a preheader, so the second
-// metaload lands in the same one.
-func TestHoistTwiceIntoSplicedPreheader(t *testing.T) {
-	f := twoHoistsFunc()
-	nBlocks := len(f.Blocks)
-	if n := HoistLoopInvariantMetaLoads(f); n != 2 {
-		t.Fatalf("hoisted %d, want 2", n)
-	}
-	if len(f.Blocks) != nBlocks+1 {
-		t.Fatalf("%d blocks, want one preheader added", len(f.Blocks))
-	}
-	pre := f.Blocks[nBlocks].Insts
-	if len(pre) != 3 || pre[0].Kind != ir.KMetaLoad || pre[1].Kind != ir.KMetaLoad {
-		t.Fatalf("preheader holds %v, want both metaloads", pre)
-	}
-	if t0 := f.Blocks[0].Terminator(); t0.Target != nBlocks || t0.Else != 2 {
-		t.Fatalf("entry branches to %d/%d, want the preheader and the exit", t0.Target, t0.Else)
-	}
-}
-
-// Negative hoisting cases: calls in the loop, a variant address, a
-// conditionally executed metaload, and a second in-loop definition.
-func TestHoistNegative(t *testing.T) {
-	base := func(body ...ir.Inst) *ir.Func {
-		insts := append(body,
-			ir.Inst{Kind: ir.KBin, Dst: 4, Op: ir.OpSub, A: ir.R(4), B: ir.CI(1)},
-			ir.Inst{Kind: ir.KCondBr, A: ir.R(4), Target: 1, Else: 2})
-		return mkCFGFunc(6,
-			[]ir.Inst{{Kind: ir.KConst, Dst: 4, A: ir.CI(3)}, {Kind: ir.KBr, Target: 1}},
-			insts,
-			[]ir.Inst{{Kind: ir.KStore, A: ir.GV("g", 0), B: ir.R(2), Mem: ir.MemI64}, {Kind: ir.KRet}},
-		)
-	}
-
-	cases := map[string]*ir.Func{
-		"call in loop": base(
-			ir.Inst{Kind: ir.KMetaLoad, A: ir.GV("g", 0), MetaDst: [4]ir.Reg{0, 1}},
-			ir.Inst{Kind: ir.KBin, Dst: 2, Op: ir.OpAdd, A: ir.R(2), B: ir.R(0)},
-			ir.Inst{Kind: ir.KCall, Dst: 5, Callee: ir.FV("f")}),
-		"metastore in loop": base(
-			ir.Inst{Kind: ir.KMetaLoad, A: ir.GV("g", 0), MetaDst: [4]ir.Reg{0, 1}},
-			ir.Inst{Kind: ir.KBin, Dst: 2, Op: ir.OpAdd, A: ir.R(2), B: ir.R(0)},
-			ir.Inst{Kind: ir.KMetaStore, A: ir.GV("g", 16), Meta: [4]ir.Value{ir.R(0), ir.R(1)}}),
-		"variant address": base(
-			ir.Inst{Kind: ir.KBin, Dst: 3, Op: ir.OpAdd, A: ir.R(3), B: ir.CI(8)},
-			ir.Inst{Kind: ir.KMetaLoad, A: ir.R(3), MetaDst: [4]ir.Reg{0, 1}},
-			ir.Inst{Kind: ir.KBin, Dst: 2, Op: ir.OpAdd, A: ir.R(2), B: ir.R(0)}),
-		"second def in loop": base(
-			ir.Inst{Kind: ir.KMetaLoad, A: ir.GV("g", 0), MetaDst: [4]ir.Reg{0, 1}},
-			ir.Inst{Kind: ir.KConst, Dst: 0, A: ir.CI(1)},
-			ir.Inst{Kind: ir.KBin, Dst: 2, Op: ir.OpAdd, A: ir.R(2), B: ir.R(0)}),
-	}
-	for name, f := range cases {
-		if n := HoistLoopInvariantMetaLoads(f); n != 0 {
-			t.Errorf("%s: hoisted %d, want 0", name, n)
+// metaLoadsPerBlock counts the metaloads in each block of f.
+func metaLoadsPerBlock(f *ir.Func) []int {
+	n := make([]int, len(f.Blocks))
+	for b, blk := range f.Blocks {
+		for i := range blk.Insts {
+			if blk.Insts[i].Kind == ir.KMetaLoad {
+				n[b]++
+			}
 		}
 	}
+	return n
+}
 
-	// Conditionally executed metaload (inside an if within the loop):
-	// its block does not dominate the loop exit.
-	f := mkCFGFunc(6,
-		[]ir.Inst{{Kind: ir.KConst, Dst: 4, A: ir.CI(3)}, {Kind: ir.KBr, Target: 1}},
-		[]ir.Inst{{Kind: ir.KCondBr, A: ir.R(5), Target: 2, Else: 3}},
-		[]ir.Inst{
-			{Kind: ir.KMetaLoad, A: ir.GV("g", 0), MetaDst: [4]ir.Reg{0, 1}},
-			{Kind: ir.KBin, Dst: 2, Op: ir.OpAdd, A: ir.R(2), B: ir.R(0)},
-			{Kind: ir.KBr, Target: 3}},
-		[]ir.Inst{
-			{Kind: ir.KBin, Dst: 4, Op: ir.OpSub, A: ir.R(4), B: ir.CI(1)},
-			{Kind: ir.KCondBr, A: ir.R(4), Target: 1, Else: 4}},
-		[]ir.Inst{{Kind: ir.KStore, A: ir.GV("g", 0), B: ir.R(2), Mem: ir.MemI64}, {Kind: ir.KRet}},
-	)
-	if n := HoistLoopInvariantMetaLoads(f); n != 0 {
-		t.Errorf("conditional metaload: hoisted %d, want 0", n)
+// No optimizer pass moves an instruction from one block to another or
+// adds a block: loop-invariant metadata loads stay in their loops, with
+// or without a preheader to receive them.
+func TestOptimizeKeepsMetaLoadsInTheirBlocks(t *testing.T) {
+	for name, f := range map[string]*ir.Func{
+		"preheader exists": invariantMetaLoadLoop(),
+		"no preheader":     twoInvariantMetaLoadsFunc(),
+	} {
+		want := metaLoadsPerBlock(f)
+		OptimizeFuncs([]*ir.Func{f}, Options{Global: true})
+		if got := metaLoadsPerBlock(f); !slices.Equal(got, want) {
+			t.Errorf("%s: metaloads per block %v after optimizing, want %v\n%s", name, got, want, f)
+		}
 	}
 }

@@ -19,10 +19,12 @@
 //     CFG; removes a check covered by identical checks on every incoming
 //     path (in particular, one dominated by an identical check with no
 //     redefinition on any path between them).
-//   - HoistLoopInvariantMetaLoads: moves loop-invariant metadata lookups
-//     into loop preheaders.
 //   - Dead metadata-load removal inside DeadCodeElim: a KMetaLoad whose
 //     result registers are never read is deleted.
+//
+// No pass moves an instruction from one block to another or adds a
+// block: loop-invariant metadata-load hoisting is retired (DESIGN.md,
+// "Retired: metadata-load hoisting").
 //
 // The soundness contract every pass obeys (what may be assumed about
 // register definitions, metadata effects, and checks) is documented in
@@ -45,9 +47,12 @@ type Result struct {
 	RemovedChecks       int
 	RemovedChecksGlobal int
 	MergedMetaLoads     int
-	HoistedMetaLoads    int
-	DeadMetaLoads       int
-	SimplifiedBlocks    int
+	// HoistedMetaLoads counted the metadata loads moved by a retired
+	// loop-invariant hoisting pass; internal/perf still reads it.
+	//
+	// Deprecated: always zero.
+	HoistedMetaLoads int
+	DeadMetaLoads    int
 }
 
 func (r *Result) add(o Result) {
@@ -56,16 +61,13 @@ func (r *Result) add(o Result) {
 	r.RemovedChecks += o.RemovedChecks
 	r.RemovedChecksGlobal += o.RemovedChecksGlobal
 	r.MergedMetaLoads += o.MergedMetaLoads
-	r.HoistedMetaLoads += o.HoistedMetaLoads
 	r.DeadMetaLoads += o.DeadMetaLoads
-	r.SimplifiedBlocks += o.SimplifiedBlocks
 }
 
 // Options selects which passes OptimizeWith runs.
 type Options struct {
-	// Global enables the whole-function CFG passes: cross-block
-	// redundant-check elimination, loop-invariant metadata-load
-	// hoisting, and dead metadata-load removal.
+	// Global enables the whole-function passes: cross-block
+	// redundant-check elimination and dead metadata-load removal.
 	Global bool
 }
 
@@ -93,20 +95,13 @@ func OptimizeFuncs(funcs []*ir.Func, o Options) Result {
 			r := Result{}
 			r.FoldedConsts = ConstFold(f)
 			// Both check passes use one numbering of the round's
-			// checks, and one CFG serves the round's global passes:
-			// check elimination and CSE edit no terminator, and
-			// hoisting rebuilds it after splicing in a preheader.
+			// checks.
 			cs.intern(f)
 			r.RemovedChecks = cs.eliminateLocal(f)
-			var cfg *ir.CFG
 			if o.Global {
-				cfg = ir.BuildCFG(f)
-				r.RemovedChecksGlobal = cs.eliminateGlobal(f, cfg)
+				r.RemovedChecksGlobal = cs.eliminateGlobal(f, ir.BuildCFG(f))
 			}
 			r.MergedMetaLoads = CSEMetaLoads(f)
-			if o.Global {
-				r.HoistedMetaLoads = hoistMetaLoads(f, cfg)
-			}
 			r.RemovedInsts, r.DeadMetaLoads = deadCodeElim(f, o.Global)
 			total.add(r)
 			if r == (Result{}) {
