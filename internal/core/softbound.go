@@ -14,7 +14,8 @@
 //     with an _sb_ prefix marker (§3.3);
 //  5. shrink bounds when a pointer to a struct field is created (§3.1),
 //     which is what catches the sub-object overflows that object-table
-//     approaches miss (§2.1);
+//     approaches miss (§2.1) — wherever the field pointer escapes: a
+//     pointer used only to access within the field needs no narrowing;
 //  6. clear the metadata of pointer-bearing stack slots in the function
 //     epilogue, and seed global metadata, per §5.2.
 //
@@ -130,8 +131,29 @@ type xform struct {
 	// address (for epilogue metadata clearing).
 	allocaRegs map[int64]ir.Reg
 
+	// fields holds each field pointer a bounds-shrinking GEP defines;
+	// nil when the function shrinks nothing.
+	fields map[ir.Reg]fieldPtr
+
 	out []ir.Inst
 }
+
+// fieldPtr records how a shrinking GEP's destination is used: its field
+// length, how often it is defined, and whether any use lets the field
+// pointer escape.
+type fieldPtr struct {
+	len     int64
+	defs    int
+	escapes bool
+}
+
+// direct reports whether narrowing the field pointer is dead: it is
+// defined once and used only as the address of loads and stores no
+// wider than the field. Such an access [d, d+s), s ≤ len, lies inside
+// the field [d, d+len), so it passes the check against
+// [max(sb,d), min(se,d+len)) exactly when it passes the check against
+// the incoming [sb, se).
+func (p fieldPtr) direct() bool { return p.defs == 1 && !p.escapes }
 
 // transformFunc instruments f, rewriting each block into scratch, and
 // returns scratch, possibly grown, for the next function.
@@ -178,14 +200,23 @@ func transformFunc(f *ir.Func, sizes GlobalSizer, opts Options, scratch []ir.Ins
 
 	// Pre-scan for alloca address registers (needed by epilogue clears
 	// that may precede the textual alloca in block order — allocas all
-	// live in the entry block in practice).
+	// live in the entry block in practice) and for field pointers.
 	for _, b := range f.Blocks {
 		for i := range b.Insts {
 			in := &b.Insts[i]
-			if in.Kind == ir.KAlloca {
+			switch {
+			case in.Kind == ir.KAlloca:
 				x.allocaRegs[in.C.Int] = in.Dst
+			case in.Kind == ir.KGEP && in.Shrink && opts.ShrinkBounds:
+				if x.fields == nil {
+					x.fields = make(map[ir.Reg]fieldPtr)
+				}
+				x.fields[in.Dst] = fieldPtr{len: in.ShrinkLen}
 			}
 		}
+	}
+	if x.fields != nil {
+		x.scanFieldUses()
 	}
 
 	for _, b := range f.Blocks {
@@ -261,6 +292,44 @@ func (x *xform) metaOf(v ir.Value, lo, hi int) (m [4]ir.Value) {
 	}
 	copy(m[lo:hi], all[lo:hi])
 	return m
+}
+
+// scanFieldUses counts the definitions of every field pointer and marks
+// it escaping at any use other than the address of a load or store no
+// wider than the field: stored as a value, passed, returned, compared,
+// converted, or the base of another GEP.
+func (x *xform) scanFieldUses() {
+	// use marks v escaping unless it is the address of an access of
+	// size bytes within the field; size 0 stands for any other use.
+	use := func(v ir.Value, size int64) {
+		if v.Kind != ir.VReg {
+			return
+		}
+		if p, ok := x.fields[v.Reg]; ok && (size == 0 || size > p.len) {
+			p.escapes = true
+			x.fields[v.Reg] = p
+		}
+	}
+	for _, b := range x.f.Blocks {
+		for i := range b.Insts {
+			in := &b.Insts[i]
+			switch in.Kind {
+			case ir.KLoad:
+				use(in.A, in.Mem.Size())
+			case ir.KStore:
+				use(in.A, in.Mem.Size())
+				use(in.B, 0)
+			default:
+				in.Uses(func(v ir.Value) { use(v, 0) })
+			}
+			in.Defs(func(r ir.Reg) {
+				if p, ok := x.fields[r]; ok {
+					p.defs++
+					x.fields[r] = p
+				}
+			})
+		}
+	}
 }
 
 func (x *xform) emit(in ir.Inst) { x.out = append(x.out, in) }
@@ -351,12 +420,22 @@ func (x *xform) rewrite(in *ir.Inst) {
 			break
 		}
 		if in.Shrink && x.opts.ShrinkBounds {
-			// Creating a pointer to a struct field narrows the
-			// metadata to the field (paper §3.1) — by INTERSECTION with
-			// the incoming bounds, never replacement. Replacing would
-			// make the field-deref check the tautology ptr ∈
-			// [ptr, ptr+len), so a forged pointer or corrupted metadata
-			// entry would pass every field access: exactly the silent
+			if x.fields[in.Dst].direct() {
+				// Only loads and stores within the field go through
+				// this pointer, so narrowing could never change a
+				// check's outcome (fieldPtr.direct): it keeps the
+				// source's metadata, as a plain GEP does. A violation
+				// through it reports the object's bounds.
+				x.copyMeta(in.Dst, in.A)
+				break
+			}
+			// Creating a pointer to a struct field that escapes
+			// narrows the metadata to the field (paper §3.1) — by
+			// INTERSECTION with the incoming bounds, never
+			// replacement. Replacing would make the field-deref
+			// check the tautology ptr ∈ [ptr, ptr+len), so a forged
+			// pointer or corrupted metadata entry would pass every
+			// field access: exactly the silent
 			// divergence the fault-injection suite exists to catch.
 			// Branch-free select: max(sb,d) = d + (sb>d)*(sb-d), and
 			// symmetrically min(se,fe) = fe + (se<fe)*(se-fe).

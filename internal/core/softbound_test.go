@@ -147,39 +147,198 @@ func TestPointerStoreEmitsMetaStore(t *testing.T) {
 	}
 }
 
+// shrinkGEPs returns the positions of f's bounds-shrinking GEPs.
+func shrinkGEPs(f *ir.Func) (at [][2]int) {
+	for bi, b := range f.Blocks {
+		for i := range b.Insts {
+			if b.Insts[i].Kind == ir.KGEP && b.Insts[i].Shrink {
+				at = append(at, [2]int{bi, i})
+			}
+		}
+	}
+	return at
+}
+
+// intersections counts the field-bounds intersections the transform
+// emitted into f: each is two compares and six arithmetic instructions
+// (a branch-free max and min), on top of any f had before.
+func intersections(t *testing.T, before, after *ir.Func) int {
+	t.Helper()
+	arith := func(f *ir.Func) int { return countInsts(f, ir.KCmp) + countInsts(f, ir.KBin) }
+	n := arith(after) - arith(before)
+	if n%8 != 0 || countInsts(after, ir.KCmp)-countInsts(before, ir.KCmp) != n/4 {
+		t.Fatalf("%d added compare/arithmetic instructions are not whole intersections:\n%s", n, after)
+	}
+	return n / 8
+}
+
+// TestShrinkOnFieldGEP: an escaping field pointer gets the field
+// intersected with its source's bounds; with shrinking off it inherits
+// the source's metadata as a plain copy.
 func TestShrinkOnFieldGEP(t *testing.T) {
 	src := `
 struct s { char str[8]; long tail; };
 char* fieldptr(struct s* p) { return p->str; }
 `
 	mod := lower(t, src)
+	before := lower(t, src).Lookup("fieldptr")
 	Transform(mod, nil, DefaultOptions(ModeFull))
 	f := mod.Lookup("fieldptr")
-	// With shrinking, the field GEP's metadata is derived from the GEP
-	// result (base := dst), not inherited: look for a KMov of the GEP
-	// dst into a shadow register right after a shrink GEP.
-	sawShrink := false
-	for _, b := range f.Blocks {
-		for i := range b.Insts {
-			if b.Insts[i].Kind == ir.KGEP && b.Insts[i].Shrink {
-				sawShrink = true
-				if b.Insts[i].ShrinkLen != 8 {
-					t.Errorf("shrink len = %d, want 8", b.Insts[i].ShrinkLen)
-				}
-			}
-		}
+	at := shrinkGEPs(f)
+	if len(at) != 1 {
+		t.Fatalf("%d shrink-marked GEPs for the field address, want 1", len(at))
 	}
-	if !sawShrink {
-		t.Fatal("no shrink-marked GEP for the field address")
+	gep := f.Blocks[at[0][0]].Insts[at[0][1]]
+	if gep.ShrinkLen != 8 {
+		t.Errorf("shrink len = %d, want 8", gep.ShrinkLen)
+	}
+	// The returned field pointer escapes, so its bounds are the field
+	// intersected with the incoming bounds; the intersection starts
+	// with the field's end, dst+ShrinkLen.
+	if n := intersections(t, before, f); n != 1 {
+		t.Fatalf("intersections = %d, want 1:\n%s", n, f)
+	}
+	end := f.Blocks[at[0][0]].Insts[at[0][1]+1]
+	if end.Kind != ir.KGEP || end.A != ir.R(gep.Dst) || end.C != ir.CI(8) {
+		t.Fatalf("field end not computed after the shrink GEP: %s\n%s", end.String(), f)
 	}
 
-	// With shrinking disabled (ablation), metadata is inherited.
+	// With shrinking disabled (ablation), the field pointer's metadata
+	// is two moves from the source pointer's shadow registers, exactly
+	// what a plain GEP emits.
 	mod2 := lower(t, src)
 	opts := DefaultOptions(ModeFull)
 	opts.ShrinkBounds = false
 	Transform(mod2, nil, opts)
-	// Still compiles and instruments; the semantic difference is
-	// covered end-to-end in the driver/bugbench tests.
+	f2 := mod2.Lookup("fieldptr")
+	if n := intersections(t, before, f2); n != 0 {
+		t.Fatalf("shrinking off: intersections = %d, want 0:\n%s", n, f2)
+	}
+	requirePlainCopy(t, f2, shrinkGEPs(f2)[0])
+}
+
+// requirePlainCopy asserts that the GEP at pos is followed by moves of
+// the source pointer's base and bound (the parameter's metadata
+// registers) into registers other than the GEP's destination.
+func requirePlainCopy(t *testing.T, f *ir.Func, pos [2]int) {
+	t.Helper()
+	insts := f.Blocks[pos[0]].Insts
+	gep := insts[pos[1]]
+	if gep.A.Kind != ir.VReg || gep.A.Reg != f.ParamRegs[0] {
+		t.Fatalf("GEP source %s is not the first parameter", gep.A.String())
+	}
+	base, bound := f.ParamRegs[f.OrigParams], f.ParamRegs[f.OrigParams+1]
+	for w, src := range []ir.Reg{base, bound} {
+		mv := insts[pos[1]+1+w]
+		if mv.Kind != ir.KMov || mv.A != ir.R(src) || mv.Dst == gep.Dst {
+			t.Fatalf("metadata word %d of the field pointer is %s, want a move from %%%d:\n%s",
+				w, mv.String(), src, f)
+		}
+	}
+}
+
+const pointSrc = `struct pt { int x; int y; };
+`
+
+// TestDirectFieldAccessSkipsIntersection: a field pointer used only as
+// the address of accesses within the field keeps its source's bounds,
+// because no check through it can come out differently.
+func TestDirectFieldAccessSkipsIntersection(t *testing.T) {
+	src := pointSrc + `int f(struct pt* p, int v) { p->x = v; return p->y; }`
+	for _, temporal := range []bool{false, true} {
+		mod := lower(t, src)
+		opts := DefaultOptions(ModeFull)
+		opts.Temporal = temporal
+		Transform(mod, nil, opts)
+		f := mod.Lookup("f")
+		if n := countInsts(f, ir.KCmp) + countInsts(f, ir.KBin); n != 0 {
+			t.Fatalf("temporal=%v: %d compare/arithmetic instructions, want none:\n%s", temporal, n, f)
+		}
+		at := shrinkGEPs(f)
+		if len(at) != 2 {
+			t.Fatalf("temporal=%v: %d shrink GEPs, want 2", temporal, len(at))
+		}
+		for _, pos := range at {
+			requirePlainCopy(t, f, pos)
+		}
+		if n := countChecks(f, ir.CheckLoad) + countChecks(f, ir.CheckStore); n != 2 {
+			t.Fatalf("temporal=%v: %d checks, want 2", temporal, n)
+		}
+	}
+}
+
+// TestEscapingFieldPointerKeepsIntersection: every use other than the
+// address of an access within the field lets the field pointer escape,
+// and the escaping pointer keeps the narrowed bounds.
+func TestEscapingFieldPointerKeepsIntersection(t *testing.T) {
+	cases := []struct{ name, src string }{
+		{"stored", pointSrc + `void f(struct pt* p, int** out) { *out = &p->x; }`},
+		{"passed", pointSrc + `void g(int* q); void f(struct pt* p) { g(&p->x); }`},
+		{"returned", pointSrc + `int* f(struct pt* p) { return &p->y; }`},
+		{"compared", pointSrc + `int f(struct pt* p, int* q) { return &p->x == q; }`},
+		{"converted", pointSrc + `long f(struct pt* p) { return (long)&p->x; }`},
+		{"gep-base", `struct buf { int n; int arr[4]; };
+int f(struct buf* p, int i) { return p->arr[i]; }`},
+		{"wider", pointSrc + `long f(struct pt* p) { return *(long*)&p->x; }`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			before := lower(t, c.src).Lookup("f")
+			mod := lower(t, c.src)
+			Transform(mod, nil, DefaultOptions(ModeFull))
+			if n := intersections(t, before, mod.Lookup("f")); n != 1 {
+				t.Fatalf("intersections = %d, want 1:\n%s", n, mod.Lookup("f"))
+			}
+		})
+	}
+
+	// A field pointer register with a second definition keeps the
+	// intersection even when every use is a direct access: the
+	// other definition's value may reach the use.
+	t.Run("redefined", func(t *testing.T) {
+		src := pointSrc + `int f(struct pt* p, struct pt* q) { return p->y; }`
+		before := lower(t, src).Lookup("f")
+		mod := lower(t, src)
+		f := mod.Lookup("f")
+		at := shrinkGEPs(f)
+		if len(at) != 1 {
+			t.Fatalf("%d shrink GEPs, want 1", len(at))
+		}
+		b := f.Blocks[at[0][0]]
+		gep := b.Insts[at[0][1]]
+		redef := ir.Inst{Kind: ir.KMov, Dst: gep.Dst, A: ir.R(f.ParamRegs[1])}
+		b.Insts = append(b.Insts[:at[0][1]:at[0][1]], append([]ir.Inst{redef}, b.Insts[at[0][1]:]...)...)
+		Transform(mod, nil, DefaultOptions(ModeFull))
+		if n := intersections(t, before, f); n != 1 {
+			t.Fatalf("intersections = %d, want 1:\n%s", n, f)
+		}
+	})
+
+	// A store whose address and value are the same field pointer is
+	// a direct access and an escape at once.
+	t.Run("stored-through-itself", func(t *testing.T) {
+		src := `struct self { struct self* s; };
+void f(struct self* p, struct self* v) { p->s = v; }`
+		before := lower(t, src).Lookup("f")
+		mod := lower(t, src)
+		f := mod.Lookup("f")
+		stores := 0
+		for _, b := range f.Blocks {
+			for i := range b.Insts {
+				if in := &b.Insts[i]; in.Kind == ir.KStore {
+					in.B = in.A
+					stores++
+				}
+			}
+		}
+		if stores != 1 {
+			t.Fatalf("%d stores, want 1", stores)
+		}
+		Transform(mod, nil, DefaultOptions(ModeFull))
+		if n := intersections(t, before, f); n != 1 {
+			t.Fatalf("intersections = %d, want 1:\n%s", n, f)
+		}
+	})
 }
 
 func TestGlobalBoundsAreCompileTimeConstants(t *testing.T) {

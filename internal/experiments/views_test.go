@@ -17,19 +17,21 @@ import (
 // runs: full checking over the hash table, with the facility's lookup and
 // update recharged at 14 instructions and each check at 6. They were
 // measured by running that model in the VM, before the model was replaced
-// by msccSimInsts.
+// by msccSimInsts. When direct-only field accesses stopped paying the
+// bounds intersection, each pin fell by exactly its program's drop in
+// hashtable-full SimInsts; the check and metadata terms did not move.
 var msccPinned = map[int]map[string]uint64{
 	1: {
 		"go": 5213, "lbm": 901492, "hmmer": 504613, "compress": 318258,
-		"ijpeg": 3023351, "bh": 5724, "tsp": 718, "libquantum": 2414244,
-		"perimeter": 2529, "health": 109335, "bisort": 944, "mst": 1155,
-		"li": 855684, "em3d": 18850, "treeadd": 1021,
+		"ijpeg": 3023351, "bh": 4429, "tsp": 620, "libquantum": 1711752,
+		"perimeter": 2312, "health": 98009, "bisort": 818, "mst": 980,
+		"li": 660790, "em3d": 15224, "treeadd": 874,
 	},
 	3: {
 		"go": 18129, "lbm": 2368446, "hmmer": 1503942, "compress": 958999,
-		"ijpeg": 8843745, "bh": 50956, "tsp": 6623, "libquantum": 6902544,
-		"perimeter": 64300, "health": 228183, "bisort": 12426, "mst": 6118,
-		"li": 4437652, "em3d": 55085, "treeadd": 5744,
+		"ijpeg": 8843745, "bh": 39938, "tsp": 5384, "libquantum": 4895420,
+		"perimeter": 56530, "health": 200008, "bisort": 10228, "mst": 4998,
+		"li": 3424024, "em3d": 44207, "treeadd": 4715,
 	},
 }
 

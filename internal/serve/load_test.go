@@ -24,6 +24,10 @@ import (
 	"softbound/internal/vm"
 )
 
+// hungSrc spins until its deadline, as spinSrc does, under a different
+// program hash. A deadline trap does not trip a breaker.
+const hungSrc = `int main() { long n; n = 0; while (1) { n = n + 2; } return (int)n; }`
+
 func TestServiceSurvivesHostileLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load test")
@@ -48,7 +52,11 @@ func TestServiceSurvivesHostileLoad(t *testing.T) {
 	// The mixed workload. Each entry: the request plus the statuses it is
 	// allowed to produce under load (200 = served, 400 = rejected input,
 	// 429 = shed, 503 = breaker fast-fail or drain).
-	hung := Request{Source: spinSrc, TimeoutMillis: 100}
+	// hung spins in a program of its own: sharing poison's source would
+	// share its breaker, and once poison's step-limit traps open it, the
+	// hung copies fail fast with 503 instead of holding workers for
+	// their deadline, so on a fast run the queue never overflows.
+	hung := Request{Source: hungSrc, TimeoutMillis: 100}
 	mixed := []Request{
 		{Source: okSrc},
 		{Source: overflowSrc},
