@@ -30,7 +30,7 @@ import (
 
 // SchemaVersion identifies the BENCH.json layout. Bump it whenever a
 // field of Report, Run, or metrics.Report is renamed or removed.
-const SchemaVersion = 2
+const SchemaVersion = 3
 
 // baselineConfig names the uninstrumented runs overheads are computed
 // against.

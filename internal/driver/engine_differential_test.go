@@ -129,7 +129,7 @@ func TestEngineDifferentialDanglingAttacks(t *testing.T) {
 
 // Step limits must trap at the identical instruction on both engines
 // even with batched accounting; the sweep lands the budget across block
-// boundaries and inside fused superinstructions of a real program.
+// boundaries and on checked accesses of a real program.
 func TestEngineDifferentialStepLimit(t *testing.T) {
 	src := progs.All()[0].Source(suiteSmallScale[progs.All()[0].Name])
 	for _, limit := range []uint64{1, 2, 3, 5, 17, 100, 1000, 4095, 4096, 4097, 100_000} {

@@ -40,7 +40,6 @@ type Stats struct {
 	// Allocations.
 	Mallocs   uint64
 	Frees     uint64
-	HeapBytes uint64
 	MaxHeap   uint64
 	MetaBytes int64 // metadata facility footprint at exit
 	MetaLive  int64 // live metadata entries at exit (facility occupancy)

@@ -25,7 +25,6 @@ type Report struct {
 	Calls          uint64 `json:"calls"`
 	Mallocs        uint64 `json:"mallocs"`
 	Frees          uint64 `json:"frees"`
-	HeapBytes      uint64 `json:"heap_bytes"`
 	MaxHeap        uint64 `json:"max_heap"`
 	MetaBytes      int64  `json:"meta_bytes"`
 	// MetaLive is the facility's live entry count at exit (an additive
@@ -79,7 +78,6 @@ func (s *Stats) Report() Report {
 		Calls:          s.Calls,
 		Mallocs:        s.Mallocs,
 		Frees:          s.Frees,
-		HeapBytes:      s.HeapBytes,
 		MaxHeap:        s.MaxHeap,
 		MetaBytes:      s.MetaBytes,
 		MetaLive:       s.MetaLive,

@@ -9,7 +9,7 @@ import (
 // Microbenchmarks for the interpreter core. Each sub-benchmark runs the
 // same module on the fast (pre-decoded) and reference (per-step) engines
 // so a single `go test -bench` invocation yields the A/B comparison; the
-// reference engine is the pre-PR interpreter.
+// reference engine is the per-step oracle loop.
 
 // benchConfig keeps the VM's memory segments tiny so interpretation —
 // not segment allocation in New — dominates the measurement.
@@ -45,7 +45,8 @@ func benchBoth(b *testing.B, mod *ir.Module) {
 }
 
 // benchLoopModule is the instrumented hot-loop shape: masked index, a
-// fused GEP+Check+Load and GEP+Check+Store per iteration, plus loop ALU.
+// checked load and a checked store per iteration (each GEP, metadata
+// movs, check, access, as the instrumentation emits them), plus loop ALU.
 func benchLoopModule(iters int64) *ir.Module {
 	g := &ir.Global{Name: "g", Size: 64, Align: 8}
 	f := &ir.Func{Name: "main", HasRet: true, RetClass: ir.ClassInt}
@@ -55,6 +56,8 @@ func benchLoopModule(iters int64) *ir.Module {
 	rp := f.NewReg(ir.ClassPtr) // p
 	rv := f.NewReg(ir.ClassInt) // loaded value
 	rc := f.NewReg(ir.ClassInt) // condition
+	rb := f.NewReg(ir.ClassPtr) // p's base
+	re := f.NewReg(ir.ClassPtr) // p's bound
 	f.Blocks = []*ir.Block{
 		{Insts: []ir.Inst{
 			{Kind: ir.KConst, Dst: r0, A: ir.CI(0)},
@@ -68,14 +71,18 @@ func benchLoopModule(iters int64) *ir.Module {
 		{Insts: []ir.Inst{
 			{Kind: ir.KBin, Dst: rt, Op: ir.OpAnd, A: ir.R(r0), B: ir.CI(7)},
 			{Kind: ir.KGEP, Dst: rp, A: ir.GV("g", 0), B: ir.R(rt), Size: 8},
+			{Kind: ir.KMov, Dst: rb, A: ir.GV("g", 0)},
+			{Kind: ir.KMov, Dst: re, A: ir.GV("g", 64)},
 			{Kind: ir.KCheck, CheckK: ir.CheckLoad, A: ir.R(rp),
-				Meta: [4]ir.Value{ir.GV("g", 0), ir.GV("g", 64)}, AccessSize: 8},
+				Meta: [4]ir.Value{ir.R(rb), ir.R(re)}, AccessSize: 8},
 			{Kind: ir.KLoad, Dst: rv, A: ir.R(rp), Mem: ir.MemI64},
 			{Kind: ir.KBin, Dst: r1, Op: ir.OpAdd, A: ir.R(r1), B: ir.R(rv)},
 			{Kind: ir.KBin, Dst: rv, Op: ir.OpAdd, A: ir.R(rv), B: ir.CI(1)},
 			{Kind: ir.KGEP, Dst: rp, A: ir.GV("g", 0), B: ir.R(rt), Size: 8},
+			{Kind: ir.KMov, Dst: rb, A: ir.GV("g", 0)},
+			{Kind: ir.KMov, Dst: re, A: ir.GV("g", 64)},
 			{Kind: ir.KCheck, CheckK: ir.CheckStore, A: ir.R(rp),
-				Meta: [4]ir.Value{ir.GV("g", 0), ir.GV("g", 64)}, AccessSize: 8},
+				Meta: [4]ir.Value{ir.R(rb), ir.R(re)}, AccessSize: 8},
 			{Kind: ir.KStore, A: ir.R(rp), B: ir.R(rv), Mem: ir.MemI64},
 			{Kind: ir.KBin, Dst: r0, Op: ir.OpAdd, A: ir.R(r0), B: ir.CI(1)},
 			{Kind: ir.KBr, Target: 1},

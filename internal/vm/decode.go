@@ -7,25 +7,12 @@ import (
 )
 
 // This file implements the fast engine's decode stage: each *ir.Func is
-// flattened once into a dense []dinst. Block targets become flat
-// instruction indices, operands are pre-resolved (register number vs.
-// immediate — global and function addresses are a deterministic function
-// of the module, so symbol operands become plain constants), direct call
-// targets are bound to their decoded bodies, and the hot adjacent
-// patterns the SoftBound instrumentation emits are fused into
-// superinstructions:
-//
-//	GEP+Check+Load   → dGEPCheckLoad
-//	GEP+Check+Store  → dGEPCheckStore
-//	Check+MetaLoad   → dCheckMetaLoad
-//
-// Fusion never changes semantics: the fused handlers execute the
-// component operations in exactly the reference order, with per-component
-// statistics and step accounting, so a trap inside a superinstruction
-// (bounds violation, step limit) is indistinguishable from the reference
-// engine's. Every control-flow resume point (block starts, the
-// instruction after a call) falls on a decoded-instruction boundary
-// because terminators and calls are never fused into.
+// flattened once into a dense []dinst, one decoded instruction per IR
+// instruction. Block targets become flat instruction indices, operands
+// are pre-resolved (register number vs. immediate — global and function
+// addresses are a deterministic function of the module, so symbol
+// operands become plain constants), and direct call targets are bound
+// to their decoded bodies.
 //
 // The decoded program is immutable after construction and cached on the
 // *ir.Module (ir.Module.Decoded), so concurrent VMs — the serve compile
@@ -66,7 +53,7 @@ func layoutFuncs(mod *ir.Module, addrs map[string]uint64) {
 type dOp uint8
 
 // Decoded operations. dConst..dUnreachable map 1:1 onto InstKinds (with
-// const/reg specialization); the last three are superinstructions.
+// const/reg specialization).
 const (
 	dBad dOp = iota // malformed instruction or operand: typed RuntimeError
 	dFellOff
@@ -93,10 +80,6 @@ const (
 	dCall
 	dRet
 	dUnreachable
-
-	dGEPCheckLoad
-	dGEPCheckStore
-	dCheckMetaLoad
 )
 
 // dOperand is a pre-resolved operand: a register number, or (reg ==
@@ -121,7 +104,6 @@ func (o dOperand) get(regs []uint64) uint64 {
 // keep the source position for error wrapping.
 type dinst struct {
 	op     dOp
-	nsteps uint8 // simulated steps this instruction retires (fused: per component)
 	mem    ir.MemType
 	checkK ir.CheckKind
 
@@ -304,7 +286,8 @@ func fallsOff(insts []ir.Inst) bool {
 func (dec *decoder) decodeFunc(fn *ir.Func, df *dfunc) {
 	dec.cur = fn
 	df.blockStart = make([]int32, len(fn.Blocks))
-	// Room for every instruction unfused plus each fell-off sentinel.
+	// One decoded instruction per IR instruction, plus each fell-off
+	// sentinel.
 	n := 0
 	for _, blk := range fn.Blocks {
 		n += len(blk.Insts)
@@ -316,43 +299,14 @@ func (dec *decoder) decodeFunc(fn *ir.Func, df *dfunc) {
 	for bi, blk := range fn.Blocks {
 		df.blockStart[bi] = int32(len(code))
 		insts := blk.Insts
-		for i := 0; i < len(insts); i++ {
-			in := &insts[i]
-
-			// Superinstruction fusion. Conditions are structural (the
-			// check guards the GEP result, the access goes through it),
-			// which is exactly the shape the instrumentation emits.
-			if in.Kind == ir.KGEP && i+2 < len(insts) {
-				chk, acc := &insts[i+1], &insts[i+2]
-				if chk.Kind == ir.KCheck && chk.CheckK != ir.CheckCall &&
-					chk.A.IsReg() && chk.A.Reg == in.Dst &&
-					(acc.Kind == ir.KLoad || acc.Kind == ir.KStore) &&
-					acc.A.IsReg() && acc.A.Reg == in.Dst {
-					if d, ok := dec.fuseGEPCheckAccess(in, chk, acc, bi, i); ok {
-						code = append(code, d)
-						i += 2
-						continue
-					}
-				}
-			}
-			if in.Kind == ir.KCheck && in.CheckK != ir.CheckCall && i+1 < len(insts) {
-				if ml := &insts[i+1]; ml.Kind == ir.KMetaLoad {
-					if d, ok := dec.fuseCheckMetaLoad(in, ml, bi, i); ok {
-						code = append(code, d)
-						i++
-						continue
-					}
-				}
-			}
-
-			code = append(code, dec.decodeInst(in, bi, i))
+		for i := range insts {
+			code = append(code, dec.decodeInst(&insts[i], bi, i))
 		}
 		if fallsOff(insts) {
 			// The reference engine reports "fell off block" when ip runs
 			// past the last instruction; a sentinel keeps the decoded
 			// stream from sliding into the next block.
-			code = append(code, dinst{op: dFellOff, nsteps: 1,
-				blk: int32(bi), ip: int32(len(insts))})
+			code = append(code, dinst{op: dFellOff, blk: int32(bi), ip: int32(len(insts))})
 		}
 	}
 	// Branch targets were recorded as block indices; patch them to flat
@@ -372,7 +326,7 @@ func (dec *decoder) decodeFunc(fn *ir.Func, df *dfunc) {
 // decodeInst translates one instruction; any malformed piece degrades to
 // dBad, which traps with a typed RuntimeError if ever executed.
 func (dec *decoder) decodeInst(in *ir.Inst, bi, ii int) dinst {
-	d := dinst{nsteps: 1, src: in, blk: int32(bi), ip: int32(ii)}
+	d := dinst{src: in, blk: int32(bi), ip: int32(ii)}
 	bad := func() dinst {
 		d.op = dBad
 		return d
@@ -571,55 +525,6 @@ func (dec *decoder) decodeInst(in *ir.Inst, bi, ii int) dinst {
 
 // curBlocks returns the block slice of the function being decoded.
 func (dec *decoder) curBlocks() []*ir.Block { return dec.cur.Blocks }
-
-func (dec *decoder) fuseGEPCheckAccess(gep, chk, acc *ir.Inst, bi, ii int) (dinst, bool) {
-	a, okA := dec.operand(gep.A)
-	b, okB := dec.operand(gep.B)
-	m, okM := dec.checkMeta(chk)
-	if !okA || !okB || !okM {
-		return dinst{}, false
-	}
-	d := dinst{
-		nsteps: 3,
-		src:    gep, blk: int32(bi), ip: int32(ii),
-		a: a, b: b, dst: gep.Dst,
-		size: gep.Size, off: gep.C.Int,
-		base: m[0], bnd: m[1], asize: uint64(chk.AccessSize), checkK: chk.CheckK,
-		tmeta: chk.TMeta, key: m[2], lock: m[3],
-		mem: acc.Mem,
-	}
-	if acc.Kind == ir.KLoad {
-		d.op = dGEPCheckLoad
-		d.dst2 = acc.Dst
-	} else {
-		val, ok := dec.operand(acc.B)
-		if !ok {
-			return dinst{}, false
-		}
-		d.op = dGEPCheckStore
-		// The store-value operand rides in args (unused by non-call ops).
-		d.args = []dOperand{val}
-	}
-	return d, true
-}
-
-func (dec *decoder) fuseCheckMetaLoad(chk, ml *ir.Inst, bi, ii int) (dinst, bool) {
-	a, okA := dec.operand(chk.A)
-	m, okM := dec.checkMeta(chk)
-	addr, okD := dec.operand(ml.A)
-	if !okA || !okM || !okD {
-		return dinst{}, false
-	}
-	d := dinst{
-		op: dCheckMetaLoad, nsteps: 2,
-		src: chk, blk: int32(bi), ip: int32(ii),
-		a: a, base: m[0], bnd: m[1], asize: uint64(chk.AccessSize), checkK: chk.CheckK,
-		tmeta: chk.TMeta, key: m[2], lock: m[3],
-		b: addr,
-	}
-	d.dst, d.dst2, d.dst3, d.dst4 = metaDsts(ml)
-	return d, true
-}
 
 // metaTuple pre-resolves the first words of a metadata tuple (base,
 // bound, then key and lock); the words past them stay zero.

@@ -182,16 +182,8 @@ func (v *VM) step() error {
 	case ir.KCheck:
 		ptr := v.eval(f, in.A)
 		if in.CheckK == ir.CheckCall {
-			base, bound := v.eval(f, in.Meta[0]), v.eval(f, in.Meta[1])
-			v.stats.Checks++
-			v.stats.SimInsts += CheckCost
-			v.stats.CallChecks++
-			// Function pointers use the base==ptr==bound encoding
-			// (paper §5.2 "function pointers"); they carry no temporal
-			// operands — functions are never deallocated.
-			if base != ptr || bound != ptr || v.funcByAddr(ptr) == nil {
-				return &SpatialViolation{Kind: in.CheckK, Ptr: ptr, Base: base,
-					Bound: bound, Func: f.fn.Name}
+			if err := v.checkCall(f.fn.Name, ptr, v.eval(f, in.Meta[0]), v.eval(f, in.Meta[1])); err != nil {
+				return err
 			}
 			f.ip++
 			return nil
@@ -276,7 +268,7 @@ func setMetaRegs(regs []uint64, in *ir.Inst, e meta.Entry) {
 }
 
 // checkAccess is the dereference check both engines share for load and
-// store checks (CheckCall keeps its own encoding check): count and charge
+// store checks (CheckCall has its own, checkCall): count and charge
 // the spatial check, then — for temporal checks — verify the lock-and-key
 // BEFORE the spatial compare, so a revoked allocation traps as
 // temporal-violation even when its stale bounds still bracket the access.
@@ -302,6 +294,21 @@ func (v *VM) checkAccess(fname string, kind ir.CheckKind, ptr, base, bound, size
 	if ptr < base || ptr+size > bound {
 		return &SpatialViolation{Kind: kind, Ptr: ptr, Base: base,
 			Bound: bound, Size: size, Func: fname}
+	}
+	return nil
+}
+
+// checkCall is the function-pointer check both engines share: count and
+// charge it, then require the base==ptr==bound encoding (paper §5.2
+// "function pointers") on the address of a function. It carries no
+// temporal operands — functions are never deallocated.
+func (v *VM) checkCall(fname string, ptr, base, bound uint64) error {
+	v.stats.Checks++
+	v.stats.SimInsts += CheckCost
+	v.stats.CallChecks++
+	if base != ptr || bound != ptr || v.funcByAddr(ptr) == nil {
+		return &SpatialViolation{Kind: ir.CheckCall, Ptr: ptr, Base: base,
+			Bound: bound, Func: fname}
 	}
 	return nil
 }

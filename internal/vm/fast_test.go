@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,8 +14,8 @@ import (
 // observationally identical to the reference interpreter — exit code,
 // trap classification, violation fields, and every modeled statistic.
 // The driver-level suite holds this over compiled C programs; the tests
-// here pin the tricky hand-built cases (fused superinstructions, step
-// limits landing mid-fusion, metadata caching).
+// here pin the tricky hand-built cases (checked accesses, step limits
+// landing on every instruction, calls, setjmp/longjmp resume points).
 
 type engineResult struct {
 	code  int64
@@ -98,10 +99,11 @@ func arithLoopModule() *ir.Module {
 	return buildModule(f)
 }
 
-// fusedAccessModule walks a 64-byte global with the exact
-// GEP+Check+Load and GEP+Check+Store shapes the instrumentation emits.
-// iters > 8 runs the fused check out of bounds.
-func fusedAccessModule(iters int64) *ir.Module {
+// checkedAccessModule walks a 64-byte global with the shape the
+// instrumentation emits for a checked access: GEP, a metadata mov for
+// the base and one for the bound, the check, then the load or store.
+// iters > 8 runs the load check out of bounds.
+func checkedAccessModule(iters int64) *ir.Module {
 	g := &ir.Global{Name: "g", Size: 64, Align: 8}
 	f := &ir.Func{Name: "main", HasRet: true, RetClass: ir.ClassInt}
 	r0 := f.NewReg(ir.ClassInt) // i
@@ -109,6 +111,8 @@ func fusedAccessModule(iters int64) *ir.Module {
 	r2 := f.NewReg(ir.ClassPtr) // p
 	r3 := f.NewReg(ir.ClassInt) // v
 	r4 := f.NewReg(ir.ClassInt) // condition
+	rb := f.NewReg(ir.ClassPtr) // p's base
+	re := f.NewReg(ir.ClassPtr) // p's bound
 	f.Blocks = []*ir.Block{
 		{Insts: []ir.Inst{
 			{Kind: ir.KConst, Dst: r0, A: ir.CI(0)},
@@ -120,17 +124,21 @@ func fusedAccessModule(iters int64) *ir.Module {
 			{Kind: ir.KCondBr, A: ir.R(r4), Target: 2, Else: 3},
 		}},
 		{Insts: []ir.Inst{
-			// Fused triple #1: load g[i].
+			// Checked load of g[i].
 			{Kind: ir.KGEP, Dst: r2, A: ir.GV("g", 0), B: ir.R(r0), Size: 8},
+			{Kind: ir.KMov, Dst: rb, A: ir.GV("g", 0)},
+			{Kind: ir.KMov, Dst: re, A: ir.GV("g", 64)},
 			{Kind: ir.KCheck, CheckK: ir.CheckLoad, A: ir.R(r2),
-				Meta: [4]ir.Value{ir.GV("g", 0), ir.GV("g", 64)}, AccessSize: 8},
+				Meta: [4]ir.Value{ir.R(rb), ir.R(re)}, AccessSize: 8},
 			{Kind: ir.KLoad, Dst: r3, A: ir.R(r2), Mem: ir.MemI64},
 			{Kind: ir.KBin, Dst: r1, Op: ir.OpAdd, A: ir.R(r1), B: ir.R(r3)},
 			{Kind: ir.KBin, Dst: r3, Op: ir.OpAdd, A: ir.R(r3), B: ir.CI(5)},
-			// Fused triple #2: store g[i] back.
+			// Checked store of g[i] back.
 			{Kind: ir.KGEP, Dst: r2, A: ir.GV("g", 0), B: ir.R(r0), Size: 8},
+			{Kind: ir.KMov, Dst: rb, A: ir.GV("g", 0)},
+			{Kind: ir.KMov, Dst: re, A: ir.GV("g", 64)},
 			{Kind: ir.KCheck, CheckK: ir.CheckStore, A: ir.R(r2),
-				Meta: [4]ir.Value{ir.GV("g", 0), ir.GV("g", 64)}, AccessSize: 8},
+				Meta: [4]ir.Value{ir.R(rb), ir.R(re)}, AccessSize: 8},
 			{Kind: ir.KStore, A: ir.R(r2), B: ir.R(r3), Mem: ir.MemI64},
 			{Kind: ir.KBin, Dst: r0, Op: ir.OpAdd, A: ir.R(r0), B: ir.CI(1)},
 			{Kind: ir.KBr, Target: 1},
@@ -152,8 +160,8 @@ func TestEngineAgreementArithLoop(t *testing.T) {
 	}
 }
 
-func TestEngineAgreementFusedAccess(t *testing.T) {
-	res := requireEngineAgreement(t, fusedAccessModule(8), Config{})
+func TestEngineAgreementCheckedAccess(t *testing.T) {
+	res := requireEngineAgreement(t, checkedAccessModule(8), Config{})
 	if res.err != nil {
 		t.Fatalf("in-bounds walk errored: %v", res.err)
 	}
@@ -163,24 +171,24 @@ func TestEngineAgreementFusedAccess(t *testing.T) {
 	}
 }
 
-func TestEngineAgreementFusedViolation(t *testing.T) {
-	res := requireEngineAgreement(t, fusedAccessModule(9), Config{})
+func TestEngineAgreementCheckedViolation(t *testing.T) {
+	res := requireEngineAgreement(t, checkedAccessModule(9), Config{})
 	var sv *SpatialViolation
 	if !errors.As(res.err, &sv) {
-		t.Fatalf("out-of-bounds fused access not caught: %v", res.err)
+		t.Fatalf("out-of-bounds checked access not caught: %v", res.err)
 	}
 	if sv.Kind != ir.CheckLoad || sv.Size != 8 {
 		t.Fatalf("violation: %+v", sv)
 	}
 }
 
-// Sweeping the step limit across the whole run drives the budget
-// exhaustion point through every instruction — including the middle of
-// both fused triples — and demands bit-identical traps and statistics at
-// each position.
+// Sweeping the step limit across the whole run (134 steps) drives the
+// budget exhaustion point through every instruction — including each
+// step of both checked accesses — and demands bit-identical traps and
+// statistics at each position.
 func TestEngineAgreementStepLimitSweep(t *testing.T) {
-	mod := fusedAccessModule(8)
-	for limit := uint64(1); limit <= 120; limit++ {
+	mod := checkedAccessModule(8)
+	for limit := uint64(1); limit <= 150; limit++ {
 		requireEngineAgreement(t, mod, Config{StepLimit: limit})
 	}
 }
@@ -188,9 +196,10 @@ func TestEngineAgreementStepLimitSweep(t *testing.T) {
 // A violation that the reference engine hits on exactly the step the
 // budget would also expire must report the violation, not the limit, in
 // both engines (the check runs before the budget poll on the next inst).
+// The check fails on step 137.
 func TestEngineAgreementViolationVsLimitSweep(t *testing.T) {
-	mod := fusedAccessModule(9)
-	for limit := uint64(80); limit <= 110; limit++ {
+	mod := checkedAccessModule(9)
+	for limit := uint64(110); limit <= 145; limit++ {
 		requireEngineAgreement(t, mod, Config{StepLimit: limit})
 	}
 }
@@ -202,11 +211,10 @@ func TestEngineAgreementMetaOps(t *testing.T) {
 	re := f.NewReg(ir.ClassInt)
 	f.Blocks = []*ir.Block{{Insts: []ir.Inst{
 		{Kind: ir.KMetaStore, A: ir.GV("p", 0), Meta: [4]ir.Value{ir.CI(0x1000), ir.CI(0x1040)}},
-		// Check+MetaLoad adjacency: the fused form on the fast engine.
 		{Kind: ir.KCheck, CheckK: ir.CheckLoad, A: ir.GV("p", 0),
 			Meta: [4]ir.Value{ir.GV("p", 0), ir.GV("p", 8)}, AccessSize: 8},
 		{Kind: ir.KMetaLoad, A: ir.GV("p", 0), MetaDst: [4]ir.Reg{rb, re}},
-		{Kind: ir.KMetaLoad, A: ir.GV("p", 0), MetaDst: [4]ir.Reg{rb, re}}, // repeat: cache hit
+		{Kind: ir.KMetaLoad, A: ir.GV("p", 0), MetaDst: [4]ir.Reg{rb, re}}, // same slot again
 		{Kind: ir.KBin, Dst: rb, Op: ir.OpAdd, A: ir.R(rb), B: ir.R(re)},
 		{Kind: ir.KRet, HasVal: true, A: ir.R(rb)},
 	}}}
@@ -396,38 +404,67 @@ func TestEngineAgreementSetjmpStepLimitSweep(t *testing.T) {
 
 // ------------------------------------------------------------- decode
 
-func TestDecodeFusesInstrumentationTriples(t *testing.T) {
-	mod := fusedAccessModule(8)
-	prog := decodeModule(mod)
-	df := prog.funcs[mod.Lookup("main")]
-	var haveLoad, haveStore bool
-	for _, d := range df.code {
-		switch d.op {
-		case dGEPCheckLoad:
-			haveLoad = true
-			if d.nsteps != 3 {
-				t.Fatalf("fused load nsteps = %d", d.nsteps)
-			}
-		case dGEPCheckStore:
-			haveStore = true
-		case dGEP, dCheck, dLoad, dStore:
-			t.Fatalf("unfused %v survived in the hot block", d.op)
-		}
+// Every IR instruction decodes to exactly one dinst at its own position,
+// and a block without a terminator gets one dFellOff sentinel after its
+// last instruction, so each dinst retires one step.
+func TestDecodeOneDinstPerInst(t *testing.T) {
+	mods := []*ir.Module{checkedAccessModule(8), arithLoopModule(), setjmpModule()}
+	// A GEP, check, load run with no metadata movs between them, in a
+	// block with no terminator; then an empty block.
+	g := &ir.Global{Name: "g", Size: 8, Align: 8}
+	f := &ir.Func{Name: "main", HasRet: true, RetClass: ir.ClassInt}
+	r0 := f.NewReg(ir.ClassInt)
+	rp := f.NewReg(ir.ClassPtr)
+	f.Blocks = []*ir.Block{
+		{Insts: []ir.Inst{
+			{Kind: ir.KGEP, Dst: rp, A: ir.GV("g", 0), B: ir.CI(0), Size: 8},
+			{Kind: ir.KCheck, CheckK: ir.CheckLoad, A: ir.R(rp),
+				Meta: [4]ir.Value{ir.GV("g", 0), ir.GV("g", 8)}, AccessSize: 8},
+			{Kind: ir.KLoad, Dst: r0, A: ir.R(rp), Mem: ir.MemI64},
+		}},
+		{},
 	}
-	if !haveLoad || !haveStore {
-		t.Fatalf("fusion missed: load=%v store=%v", haveLoad, haveStore)
-	}
-	// Branch targets must be flat indices at block starts.
-	for _, d := range df.code {
-		if d.op == dBr || d.op == dCondBr {
-			found := false
-			for _, s := range df.blockStart {
-				if d.target == s {
-					found = true
+	mods = append(mods, buildModule(f, g))
+	for _, mod := range mods {
+		prog := decodeModule(mod)
+		for _, fn := range mod.Funcs {
+			df := prog.funcs[fn]
+			n := 0
+			for bi, blk := range fn.Blocks {
+				if df.blockStart[bi] != int32(n) {
+					t.Fatalf("%s b%d starts at %d, want %d", fn.Name, bi, df.blockStart[bi], n)
+				}
+				for ii := range blk.Insts {
+					d := &df.code[n]
+					if d.src != &blk.Insts[ii] || d.blk != int32(bi) || d.ip != int32(ii) {
+						t.Fatalf("%s b%d#%d decoded as %v from b%d#%d", fn.Name, bi, ii, d.op, d.blk, d.ip)
+					}
+					n++
+				}
+				if fallsOff(blk.Insts) {
+					if d := &df.code[n]; d.op != dFellOff || d.blk != int32(bi) {
+						t.Fatalf("%s b%d: want a fell-off sentinel, got %v", fn.Name, bi, d.op)
+					}
+					n++
 				}
 			}
-			if !found {
-				t.Fatalf("branch target %d is not a block start (%v)", d.target, df.blockStart)
+			if len(df.code) != n {
+				t.Fatalf("%s decoded to %d dinsts, want %d", fn.Name, len(df.code), n)
+			}
+			// Branch targets must be flat indices at block starts.
+			for _, d := range df.code {
+				var targets []int32
+				switch d.op {
+				case dBr:
+					targets = []int32{d.target}
+				case dCondBr:
+					targets = []int32{d.target, d.elseT}
+				}
+				for _, tgt := range targets {
+					if !slices.Contains(df.blockStart, tgt) {
+						t.Fatalf("branch target %d is not a block start (%v)", tgt, df.blockStart)
+					}
+				}
 			}
 		}
 	}

@@ -9,14 +9,13 @@ import (
 
 // This file is the fast engine's execution loop over the decoded form
 // (decode.go). It must be observationally identical to the reference
-// loop in exec.go: same exit codes, same traps (including *where* a step
-// limit lands inside a fused superinstruction), and bit-identical
-// modeled statistics. The differential suite enforces this.
+// loop in exec.go: same exit codes, same traps (including the instruction
+// a step limit lands on), and bit-identical modeled statistics. The
+// differential suite enforces this.
 //
-// The speed comes from four sources:
+// The speed comes from three sources:
 //   - pre-decoded dispatch: no per-step block/ip bookkeeping, no operand
 //     kind switches, flat branch targets;
-//   - superinstructions for the instrumentation's hot triples;
 //   - batched accounting: Insts/SimInsts accumulate in locals and the
 //     step-limit/deadline checks run as countdowns, flushed to the VM at
 //     block/call/return/error boundaries;
@@ -51,19 +50,6 @@ func wrapFastErr(f *frame, d *dinst, err error) error {
 		f.fn.Name, d.blk, d.ip, d.src.String(), err)
 }
 
-// fastCheck performs a non-call dereference check with reference-order
-// statistics (the check is counted even when it fails). It resolves the
-// decoded temporal operands, if any, and defers to the checkAccess
-// implementation both engines share, so a temporal violation fires
-// before the spatial compare exactly as in the reference loop.
-func (v *VM) fastCheck(fname string, d *dinst, ptr, base, bound uint64, regs []uint64) error {
-	var key, lock uint64
-	if d.tmeta {
-		key, lock = d.key.get(regs), d.lock.get(regs)
-	}
-	return v.checkAccess(fname, d.checkK, ptr, base, bound, d.asize, d.tmeta, key, lock)
-}
-
 // loopFast runs the decoded program until the outermost frame returns,
 // exit() is called, or an error occurs.
 func (v *VM) loopFast() (err error) {
@@ -85,17 +71,16 @@ func (v *VM) loopFast() (err error) {
 	dispatch:
 		for {
 			d := &code[fip]
-			n := int64(d.nsteps)
-			if st.budget < n || st.poll <= 0 {
+			if st.budget <= 0 || st.poll <= 0 {
 				f.fip = fip
-				if err := v.fastSlow(f, d, &st); err != nil {
+				if err := v.fastSlow(&st); err != nil {
 					v.flushFast(&st)
 					return wrapFastErr(f, d, err)
 				}
-				continue // poll serviced; budget covers d again
+				continue // poll serviced; the budget covers d
 			}
-			st.budget -= n
-			st.poll -= n
+			st.budget--
+			st.poll--
 
 			switch d.op {
 			case dConst:
@@ -228,8 +213,12 @@ func (v *VM) loopFast() (err error) {
 
 			case dCheck:
 				st.insts++
-				if err := v.fastCheck(f.fn.Name, d,
-					d.a.get(regs), d.base.get(regs), d.bnd.get(regs), regs); err != nil {
+				var key, lock uint64
+				if d.tmeta {
+					key, lock = d.key.get(regs), d.lock.get(regs)
+				}
+				if err := v.checkAccess(f.fn.Name, d.checkK, d.a.get(regs), d.base.get(regs),
+					d.bnd.get(regs), d.asize, d.tmeta, key, lock); err != nil {
 					f.fip = fip
 					v.flushFast(&st)
 					return wrapFastErr(f, d, err)
@@ -238,17 +227,11 @@ func (v *VM) loopFast() (err error) {
 
 			case dCheckCall:
 				st.insts++
-				ptr := d.a.get(regs)
-				base := d.base.get(regs)
-				bound := d.bnd.get(regs)
-				v.stats.Checks++
-				v.stats.SimInsts += CheckCost
-				v.stats.CallChecks++
-				if base != ptr || bound != ptr || v.funcByAddr(ptr) == nil {
+				if err := v.checkCall(f.fn.Name, d.a.get(regs), d.base.get(regs),
+					d.bnd.get(regs)); err != nil {
 					f.fip = fip
 					v.flushFast(&st)
-					return wrapFastErr(f, d, &SpatialViolation{Kind: ir.CheckCall,
-						Ptr: ptr, Base: base, Bound: bound, Func: f.fn.Name})
+					return wrapFastErr(f, d, err)
 				}
 				fip++
 
@@ -318,107 +301,6 @@ func (v *VM) loopFast() (err error) {
 				}
 				break dispatch
 
-			case dGEPCheckLoad:
-				// Components execute in reference order with per-
-				// component accounting, so a mid-superinstruction trap
-				// is indistinguishable from the unfused sequence.
-				st.insts++
-				st.sim += costALU
-				t := d.a.get(regs) + d.b.get(regs)*uint64(d.size) + uint64(d.off)
-				regs[d.dst] = t
-
-				st.insts++
-				if err := v.fastCheck(f.fn.Name, d,
-					t, d.base.get(regs), d.bnd.get(regs), regs); err != nil {
-					f.fip = fip
-					v.flushFast(&st)
-					return wrapFastErr(f, d, err)
-				}
-
-				st.insts++
-				if v.cfg.Checker != nil {
-					if err := v.cfg.Checker.OnLoad(t, uint64(d.mem.Size())); err != nil {
-						f.fip = fip
-						v.flushFast(&st)
-						return wrapFastErr(f, d, err)
-					}
-				}
-				val, err := v.loadMem(t, d.mem)
-				if err != nil {
-					f.fip = fip
-					v.flushFast(&st)
-					return wrapFastErr(f, d, err)
-				}
-				regs[d.dst2] = val
-				v.stats.Loads++
-				if d.mem == ir.MemPtr {
-					v.stats.PtrLoads++
-				}
-				st.sim += costMem
-				fip++
-
-			case dGEPCheckStore:
-				st.insts++
-				st.sim += costALU
-				t := d.a.get(regs) + d.b.get(regs)*uint64(d.size) + uint64(d.off)
-				regs[d.dst] = t
-
-				st.insts++
-				if err := v.fastCheck(f.fn.Name, d,
-					t, d.base.get(regs), d.bnd.get(regs), regs); err != nil {
-					f.fip = fip
-					v.flushFast(&st)
-					return wrapFastErr(f, d, err)
-				}
-
-				st.insts++
-				if v.cfg.Checker != nil {
-					if err := v.cfg.Checker.OnStore(t, uint64(d.mem.Size())); err != nil {
-						f.fip = fip
-						v.flushFast(&st)
-						return wrapFastErr(f, d, err)
-					}
-				}
-				val := d.args[0].get(regs)
-				if err := v.storeMem(t, val, d.mem); err != nil {
-					f.fip = fip
-					v.flushFast(&st)
-					return wrapFastErr(f, d, err)
-				}
-				v.stats.Stores++
-				if d.mem == ir.MemPtr {
-					v.stats.PtrStores++
-					if v.cfg.PtrStoreFault != nil {
-						if mask := v.cfg.PtrStoreFault(t, val); mask != 0 {
-							_ = v.mem.WriteU64(t, val^mask)
-						}
-					}
-				}
-				st.sim += costMem
-				fip++
-
-			case dCheckMetaLoad:
-				st.insts++
-				if err := v.fastCheck(f.fn.Name, d,
-					d.a.get(regs), d.base.get(regs), d.bnd.get(regs), regs); err != nil {
-					f.fip = fip
-					v.flushFast(&st)
-					return wrapFastErr(f, d, err)
-				}
-
-				st.insts++
-				addr := d.b.get(regs)
-				e := v.fac.Lookup(addr)
-				regs[d.dst] = e.Base
-				regs[d.dst2] = e.Bound
-				if d.dst3 != ir.NoReg {
-					regs[d.dst3] = e.Key
-					regs[d.dst4] = e.Lock
-				}
-				v.stats.MetaLoads++
-				st.sim += v.lookupCost
-				fip++
-
 			case dUnreachable:
 				st.insts++
 				f.fip = fip
@@ -448,10 +330,9 @@ func (v *VM) loopFast() (err error) {
 
 // fastSlow services the two countdown events: the periodic deadline poll
 // and the step limit. A nil return means the poll was serviced and the
-// budget still covers d, so the caller re-dispatches; otherwise the trap
-// (after executing any fused components the remaining budget allows, in
-// reference order) comes back as the run's error.
-func (v *VM) fastSlow(f *frame, d *dinst, st *fastState) error {
+// budget has a step left, so the caller re-dispatches; otherwise the trap
+// comes back as the run's error.
+func (v *VM) fastSlow(st *fastState) error {
 	if st.poll <= 0 {
 		v.flushFast(st)
 		if v.ctx != nil && v.ctx.Err() != nil {
@@ -462,50 +343,11 @@ func (v *VM) fastSlow(f *frame, d *dinst, st *fastState) error {
 			st.poll += deadlinePollMask + 1
 		}
 	}
-	if st.budget < int64(d.nsteps) {
-		return v.stepLimited(f, d, st)
-	}
-	return nil
-}
-
-// stepLimited fires the step limit at exactly the component the
-// reference engine would trap on: a superinstruction entered with a
-// partial budget executes (and accounts) its leading components first,
-// and a bounds violation inside those components still wins over the
-// limit, just as in the unfused sequence.
-func (v *VM) stepLimited(f *frame, d *dinst, st *fastState) error {
-	trap := func() error {
+	if st.budget <= 0 {
 		return &Trap{Code: TrapStepLimit, Cause: &RuntimeError{Msg: fmt.Sprintf(
 			"step limit (%d) exceeded (possible runaway program)", v.limit)}}
 	}
-	if st.budget <= 0 {
-		return trap()
-	}
-	regs := f.regs
-	switch d.op {
-	case dGEPCheckLoad, dGEPCheckStore:
-		st.budget--
-		st.insts++
-		st.sim += costALU
-		t := d.a.get(regs) + d.b.get(regs)*uint64(d.size) + uint64(d.off)
-		regs[d.dst] = t
-		if st.budget == 0 {
-			return trap()
-		}
-		st.budget--
-		st.insts++
-		if err := v.fastCheck(f.fn.Name, d, t, d.base.get(regs), d.bnd.get(regs), regs); err != nil {
-			return err
-		}
-	case dCheckMetaLoad:
-		st.budget--
-		st.insts++
-		if err := v.fastCheck(f.fn.Name, d,
-			d.a.get(regs), d.base.get(regs), d.bnd.get(regs), regs); err != nil {
-			return err
-		}
-	}
-	return trap()
+	return nil
 }
 
 // execCallFast dispatches calls under the fast engine without heap

@@ -45,10 +45,10 @@ const DefaultMaxStackDepth = 1 << 20
 type InterpKind int
 
 // Engines. The fast engine is the default (zero value): it runs the
-// module's pre-decoded form (decode.go) with fused superinstructions,
-// and batched step accounting. The reference engine is the original per-step switch interpreter, kept as the
-// semantic oracle: the differential suite holds the fast engine to its
-// exit codes, traps, and modeled statistics bit for bit.
+// module's pre-decoded form (decode.go) with batched step accounting.
+// The reference engine is the original per-step switch interpreter, kept
+// as the semantic oracle: the differential suite holds the fast engine
+// to its exit codes, traps, and modeled statistics bit for bit.
 const (
 	InterpFast InterpKind = iota
 	InterpRef
